@@ -1,7 +1,8 @@
 #include "daf/cursor.h"
 
-#include <cassert>
 #include <utility>
+
+#include "daf/pipeline.h"
 
 namespace daf {
 
@@ -9,34 +10,7 @@ EmbeddingCursor::EmbeddingCursor(const Graph& query, const Graph& data,
                                  const MatchOptions& options,
                                  MatchContext* context)
     : channel_(std::make_shared<Channel>()) {
-  assert(!options.callback && "the cursor owns the embedding callback");
-  std::shared_ptr<Channel> channel = channel_;
-  MatchOptions producer_options = options;
-  producer_options.callback = [channel](std::span<const VertexId> embedding) {
-    std::unique_lock<std::mutex> lock(channel->mutex);
-    channel->can_produce.wait(lock, [&] {
-      return channel->closed || channel->buffer.size() < Channel::kCapacity;
-    });
-    if (channel->closed) return false;  // consumer abandoned the cursor
-    channel->buffer.emplace_back(embedding.begin(), embedding.end());
-    channel->can_consume.notify_one();
-    return true;
-  };
-  // The producer captures `query`/`data` by reference: the cursor's
-  // contract (like Backtracker's) is that both, and any `context`, outlive
-  // it.
-  producer_ = std::thread([this, &query, &data, producer_options, channel,
-                           context] {
-    MatchResult result =
-        context != nullptr ? DafMatch(query, data, producer_options, context)
-                           : DafMatch(query, data, producer_options);
-    {
-      std::lock_guard<std::mutex> lock(channel->mutex);
-      channel->finished = true;
-      channel->can_consume.notify_all();
-    }
-    result_ = std::move(result);
-  });
+  Start(query, nullptr, data, options, context);
 }
 
 EmbeddingCursor::EmbeddingCursor(std::shared_ptr<const PreparedQuery> prepared,
@@ -44,7 +18,23 @@ EmbeddingCursor::EmbeddingCursor(std::shared_ptr<const PreparedQuery> prepared,
                                  const MatchOptions& options,
                                  MatchContext* context)
     : channel_(std::make_shared<Channel>()) {
-  assert(!options.callback && "the cursor owns the embedding callback");
+  const Graph& query = prepared->query;
+  Start(query, std::move(prepared), data, options, context);
+}
+
+void EmbeddingCursor::Start(const Graph& query,
+                            std::shared_ptr<const PreparedQuery> prepared,
+                            const Graph& data, const MatchOptions& options,
+                            MatchContext* context) {
+  if (options.callback) {
+    // The cursor owns the delivery channel; silently replacing the
+    // caller's callback would drop every embedding it expected to see.
+    result_.ok = false;
+    result_.error = "EmbeddingCursor: options.callback must be unset";
+    channel_->finished = true;
+    joined_ = true;
+    return;
+  }
   std::shared_ptr<Channel> channel = channel_;
   MatchOptions producer_options = options;
   producer_options.callback = [channel](std::span<const VertexId> embedding) {
@@ -57,13 +47,13 @@ EmbeddingCursor::EmbeddingCursor(std::shared_ptr<const PreparedQuery> prepared,
     channel->can_consume.notify_one();
     return true;
   };
-  // The blob is captured by shared_ptr (keeping a cache-evicted entry alive
-  // for the whole stream); `data` and `context` follow the usual
-  // outlive-the-cursor contract.
-  producer_ = std::thread([this, prepared = std::move(prepared), &data,
-                           producer_options, channel, context] {
-    MatchResult result =
-        DafMatchPrepared(*prepared, data, producer_options, context);
+  // `query`, `data` and `context` follow the outlive-the-cursor contract
+  // (like Backtracker's); a blob is captured by shared_ptr, which keeps a
+  // cache-evicted entry alive for the whole stream.
+  producer_ = std::thread([this, &query, prepared = std::move(prepared),
+                           &data, producer_options, channel, context] {
+    MatchResult result = internal::RunMatch<MatchResult>(
+        query, prepared.get(), data, producer_options, 1, context);
     {
       std::lock_guard<std::mutex> lock(channel->mutex);
       channel->finished = true;

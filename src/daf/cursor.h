@@ -33,11 +33,13 @@ namespace daf {
 /// not be called concurrently.
 class EmbeddingCursor {
  public:
-  /// Starts the search. `options.callback` must be empty (the cursor owns
-  /// the delivery channel); all other options (limit, order, failing sets,
-  /// time limit, injective, cancel token, ...) apply as in DafMatch. A
-  /// cancel via `options.cancel` stops the producer mid-search and marks
-  /// the final result `cancelled` (unlike Close(), which reports an early
+  /// Starts the search. All options (limit, order, failing sets, time
+  /// limit, injective, cancel token, ...) apply as in DafMatch, except
+  /// `options.callback`: the cursor owns the delivery channel, so a set
+  /// callback is rejected — no search starts, Next() returns std::nullopt
+  /// and Finish() reports ok=false with an error. A cancel via
+  /// `options.cancel` stops the producer mid-search and marks the final
+  /// result `cancelled` (unlike Close(), which reports an early
   /// consumer-side stop as `limit_reached`).
   ///
   /// `context` (optional) is the MatchContext the producer's search runs
@@ -49,12 +51,11 @@ class EmbeddingCursor {
                   const MatchOptions& options = {},
                   MatchContext* context = nullptr);
 
-  /// Streams embeddings from a prebuilt PreparedQuery (the cache-hit path):
-  /// the producer runs DafMatchPrepared, skipping all preprocessing. The
-  /// shared_ptr keeps the blob alive for the producer's lifetime even if
-  /// the cache evicts the entry mid-stream. Embeddings come out in the
-  /// *prepared* (canonical) query's vertex order; callers matching a
-  /// relabeled isomorph remap through their permutation.
+  /// Streams embeddings from a prebuilt PreparedQuery, skipping all
+  /// preprocessing (as DafMatchPrepared does). The shared_ptr keeps the
+  /// blob alive for the producer's lifetime even if a cache evicts it
+  /// mid-stream. Embeddings come out in the *prepared* query's vertex
+  /// order.
   EmbeddingCursor(std::shared_ptr<const PreparedQuery> prepared,
                   const Graph& data, const MatchOptions& options = {},
                   MatchContext* context = nullptr);
@@ -87,6 +88,11 @@ class EmbeddingCursor {
     bool finished = false;  // producer done
     static constexpr size_t kCapacity = 64;
   };
+
+  // Starts the producer over `prepared` when set, else over `query`.
+  void Start(const Graph& query, std::shared_ptr<const PreparedQuery> prepared,
+             const Graph& data, const MatchOptions& options,
+             MatchContext* context);
 
   std::shared_ptr<Channel> channel_;
   std::thread producer_;

@@ -1,188 +1,28 @@
 #include "daf/engine.h"
 
-#include "daf/candidate_space.h"
-#include "daf/match_context.h"
-#include "daf/query_dag.h"
-#include "daf/weights.h"
-#include "util/timer.h"
+#include "daf/parallel.h"
+#include "daf/pipeline.h"
 
 namespace daf {
 
-namespace {
-
-// Copies the context arena's counters (and the budget ledger, when one is
-// attached) into the profile's memory section.
-void FillMemoryProfile(obs::SearchProfile* profile, const MatchContext& context,
-                       const MemoryBudget* budget) {
-  if (profile == nullptr) return;
-  const ArenaStats& stats = context.arena_stats();
-  profile->memory.arena_bytes = stats.bytes_used;
-  profile->memory.arena_peak_bytes = stats.peak_bytes;
-  profile->memory.arena_blocks_acquired = stats.blocks_acquired;
-  profile->memory.arena_capacity_bytes = stats.capacity_bytes;
-  if (budget != nullptr) {
-    profile->memory.budget_limit_bytes = budget->limit();
-    profile->memory.budget_used_bytes = budget->used();
-    profile->memory.budget_peak_bytes = budget->peak_bytes();
-    profile->memory.budget_rejections = budget->rejections();
-    profile->memory.budget_exhausted = budget->exhausted();
-  }
-}
-
-// Attaches the context arena to the run's budget for the scope of one match
-// and detaches on every exit path — the budget usually lives on the
-// caller's stack (ProcessJob, match_cli) and must not outlive-dangle inside
-// a pooled context.
-class ArenaBudgetScope {
- public:
-  ArenaBudgetScope(MatchContext* context, MemoryBudget* budget)
-      : context_(context), attached_(budget != nullptr) {
-    if (attached_) context_->arena().SetBudget(budget);
-  }
-  ArenaBudgetScope(const ArenaBudgetScope&) = delete;
-  ArenaBudgetScope& operator=(const ArenaBudgetScope&) = delete;
-  ~ArenaBudgetScope() {
-    if (attached_) context_->arena().SetBudget(nullptr);
-  }
-
- private:
-  MatchContext* context_;
-  bool attached_;
-};
-
-}  // namespace
-
 MatchResult DafMatch(const Graph& query, const Graph& data,
                      const MatchOptions& options) {
-  MatchContext context;
-  return DafMatch(query, data, options, &context);
+  return internal::RunMatch<MatchResult>(query, nullptr, data, options, 1,
+                                         nullptr);
 }
 
 MatchResult DafMatch(const Graph& query, const Graph& data,
                      const MatchOptions& options, MatchContext* context) {
-  MatchResult result;
-  if (query.NumVertices() == 0) {
-    result.ok = false;
-    result.error = "empty query graph";
-    return result;
-  }
+  return internal::RunMatch<MatchResult>(query, nullptr, data, options, 1,
+                                         context);
+}
 
-  obs::SearchProfile* profile = options.profile;
-  if (profile != nullptr) profile->Reset();
-  // The arena epoch of this run: invalidates the previous run's CS/weights.
-  context->arena().Reset();
-  MemoryBudget* budget = options.memory_budget;
-  // Charges the warm arena's retained capacity up front and every block
-  // acquired during the run; detached on all return paths below.
-  ArenaBudgetScope budget_scope(context, budget);
-
-  Deadline deadline(options.time_limit_ms);
-  const StopCondition stop(options.time_limit_ms > 0 ? &deadline : nullptr,
-                           options.cancel, budget);
-  Stopwatch preprocess_timer;
-  Stopwatch stage_timer;
-  QueryDag dag = QueryDag::Build(query, data);
-  if (profile != nullptr) {
-    profile->dag_build_ms = stage_timer.ElapsedMs();
-    stage_timer.Restart();
-  }
-  CandidateSpace::Options cs_options;
-  cs_options.refinement_steps = options.refinement_steps;
-  cs_options.use_nlf_filter = options.use_nlf_filter;
-  cs_options.use_mnd_filter = options.use_mnd_filter;
-  cs_options.injective = options.injective;
-  cs_options.profile = profile != nullptr ? &profile->cs : nullptr;
-  cs_options.stop = stop.armed() ? &stop : nullptr;
-  cs_options.budget = budget;
-  CandidateSpace cs = CandidateSpace::Build(
-      query, dag, data, cs_options, &context->arena(), &context->cs_scratch());
-  if (profile != nullptr) profile->cs_build_ms = stage_timer.ElapsedMs();
-  result.cs_candidates = cs.TotalCandidates();
-  result.cs_edges = cs.TotalEdges();
-
-  if (cs.interrupted()) {
-    // The stop predicate fired mid-CS-build: report which source without
-    // mistaking the placeholder's empty candidate sets for a negativity
-    // certificate.
-    result.timed_out = cs.interrupt_cause() == StopCause::kDeadline;
-    result.cancelled = cs.interrupt_cause() == StopCause::kCancel;
-    result.resource_exhausted =
-        cs.interrupt_cause() == StopCause::kMemoryExhausted;
-    result.preprocess_ms = preprocess_timer.ElapsedMs();
-    FillMemoryProfile(profile, *context, budget);
-    return result;
-  }
-
-  if (budget == nullptr || !budget->exhausted()) {
-    for (uint32_t u = 0; u < query.NumVertices(); ++u) {
-      if (cs.NumCandidates(u) == 0) {
-        // The CS certifies negativity: no search needed (Appendix A.3).
-        // Skipped entirely when the budget latched between polls: an
-        // exhausted run must never claim a certificate.
-        result.cs_certified_negative = true;
-        result.preprocess_ms = preprocess_timer.ElapsedMs();
-        FillMemoryProfile(profile, *context, budget);
-        return result;
-      }
-    }
-  }
-
-  if (StopCause cause = stop.Check(); cause != StopCause::kNone) {
-    // The budget was consumed (or the run cancelled) during preprocessing;
-    // report it with populated timers instead of entering a doomed search.
-    result.timed_out = cause == StopCause::kDeadline;
-    result.cancelled = cause == StopCause::kCancel;
-    result.resource_exhausted = cause == StopCause::kMemoryExhausted;
-    result.preprocess_ms = preprocess_timer.ElapsedMs();
-    FillMemoryProfile(profile, *context, budget);
-    return result;
-  }
-
-  WeightArray weights;
-  if (options.order == MatchOrder::kPathSize) {
-    stage_timer.Restart();
-    weights = WeightArray::Compute(dag, cs, &context->arena());
-    if (profile != nullptr) profile->weights_ms = stage_timer.ElapsedMs();
-  }
-  result.preprocess_ms = preprocess_timer.ElapsedMs();
-
-  Stopwatch search_timer;
-  Backtracker backtracker(query, dag, cs,
-                          options.order == MatchOrder::kPathSize ? &weights
-                                                                 : nullptr,
-                          data.NumVertices(), &context->backtrack_scratch(0));
-  BacktrackOptions bt;
-  bt.order = options.order;
-  bt.use_failing_sets = options.use_failing_sets;
-  bt.leaf_decomposition = options.leaf_decomposition;
-  bt.limit = options.limit;
-  bt.injective = options.injective;
-  bt.deadline = options.time_limit_ms > 0 ? &deadline : nullptr;
-  bt.cancel = options.cancel;
-  bt.budget = budget;
-  bt.equivalence = options.equivalence;
-  bt.callback = options.callback;
-  bt.profile = profile != nullptr ? &profile->backtrack : nullptr;
-  bt.progress = options.progress;
-  bt.progress_interval_ms = options.progress_interval_ms;
-  BacktrackStats stats = backtracker.Run(bt);
-  result.search_ms = search_timer.ElapsedMs();
-  if (profile != nullptr) profile->search_ms = result.search_ms;
-  FillMemoryProfile(profile, *context, budget);
-
-  result.embeddings = stats.embeddings;
-  result.recursive_calls = stats.recursive_calls;
-  result.limit_reached = stats.limit_reached || stats.callback_stopped;
-  result.timed_out = stats.timed_out;
-  result.cancelled = stats.cancelled;
-  result.resource_exhausted = stats.resource_exhausted;
-  if (budget != nullptr && budget->exhausted()) {
-    // The budget may latch between the search's sampled polls and its last
-    // return; report exhaustion whenever the flag is up so the outcome is
-    // deterministic for a given schedule.
-    result.resource_exhausted = true;
-  }
-  return result;
+ParallelMatchResult ParallelDafMatch(const Graph& query, const Graph& data,
+                                     const MatchOptions& options,
+                                     uint32_t num_threads,
+                                     MatchContext* context) {
+  return internal::RunMatch<ParallelMatchResult>(query, nullptr, data, options,
+                                                 num_threads, context);
 }
 
 uint64_t CountAutomorphisms(const Graph& g) {

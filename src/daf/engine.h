@@ -58,8 +58,7 @@ struct MatchOptions {
   /// splitting — the stress-test configuration.
   uint32_t split_threshold = 8;
   /// Pin parallel workers to cpus (socket-major, physical cores first; see
-  /// util/topo.h) and make the steal sweep prefer same-socket victims.
-  /// No-op for single-threaded runs and on single-cpu hosts.
+  /// util/topo.h). No-op for single-threaded runs and on single-cpu hosts.
   bool pin_workers = false;
   /// Optional per-embedding callback.
   EmbeddingCallback callback;
@@ -113,8 +112,9 @@ struct MatchResult {
   }
 };
 
-/// Runs DAF end-to-end on (query, data) using `context` for all per-query
-/// memory: the flat CS and weight arrays come out of its bump arena, and
+/// Runs DAF end-to-end on (query, data) — the prepare stage, then the search
+/// on the calling thread — using `context` for all per-query memory: the
+/// flat CS and weight arrays come out of its bump arena, and
 /// the backtracker's tables out of its reusable scratch. Repeated calls
 /// with the same context reuse that memory — the second and every later
 /// call on a warmed context performs zero arena block allocations (see

@@ -16,8 +16,6 @@ struct ParallelMatchResult : MatchResult {
   // Work-stealing scheduler counters (all zero under kRootCursor).
   uint64_t tasks_executed = 0;  // subtree tasks run (seed + stolen)
   uint64_t steals = 0;          // tasks taken from another worker
-  uint64_t local_steals = 0;    // ... from a same-socket victim
-  uint64_t remote_steals = 0;   // ... from a victim on another socket
   uint64_t donations = 0;       // candidate ranges split off for thieves
   double idle_ms = 0;           // summed time workers spent out of work
   /// Workers were pinned to cpus (MatchOptions::pin_workers on a
@@ -28,33 +26,27 @@ struct ParallelMatchResult : MatchResult {
   double call_imbalance = 0;
 };
 
-/// Multi-threaded DAF: the CS is built once and shared; the search tree is
-/// distributed over `num_threads` workers. Under the default
+/// Multi-threaded DAF: the same prepare-then-search pipeline as DafMatch,
+/// with the search distributed over `num_threads` workers (one thread runs
+/// inline on the caller, exactly like DafMatch). Under the default
 /// ParallelStrategy::kWorkStealing each worker runs subtree tasks (a partial
 /// embedding prefix plus an unexplored candidate range) from per-worker
-/// deques; when a worker goes idle, busy workers split the shallowest
-/// still-splittable range of their own open frames and donate the upper
-/// half, so a single skewed root subtree no longer serializes the run.
-/// Under kRootCursor only the root's candidate iterations (line 4 of
+/// deques, and busy workers split their shallowest splittable range for
+/// idle ones. Under kRootCursor only the root's candidates (line 4 of
 /// Algorithm 2) are distributed through an atomic cursor, as in the paper's
-/// Appendix A.4. Each worker owns its visited table and failing-set stack;
-/// a shared atomic counter enforces the global embedding limit with
+/// Appendix A.4. A shared counter enforces the embedding limit with
 /// claim-before-count semantics, so the reported count equals exactly
-/// min(limit, total embeddings) — identical to a single-threaded run — while
-/// the *set* of embeddings found under a limit may differ across runs.
-/// Without a limit the full embedding set is always produced.
+/// min(limit, total embeddings); the *set* found under a limit may differ
+/// across runs.
 ///
-/// `options.callback` and `options.progress` are invoked under a mutex when
-/// set. When `options.profile` is set, each worker fills its own
-/// obs::BacktrackProfile; the merged aggregate lands in `profile->backtrack`
-/// and the per-worker breakdowns in `profile->thread_profiles` (the merge
-/// equals the element-wise sum of the per-thread profiles, with peak depth
-/// taken as the max).
+/// `options.callback` and `options.progress` are invoked under a mutex.
+/// With `options.profile` set, each worker fills its own BacktrackProfile;
+/// the merge lands in `profile->backtrack` and the per-worker breakdowns in
+/// `profile->thread_profiles`.
 ///
-/// `context` (optional) carries the arena for the shared flat CS/weight
-/// arrays and one BacktrackScratch per worker; reusing it across calls
-/// gives the same zero-steady-state-allocation behavior as DafMatch with a
-/// warm context. Null runs in a private context.
+/// `context` (optional) carries the arena for the shared CS/weight arrays
+/// and one BacktrackScratch per worker; reusing it keeps warm runs
+/// allocation-free, as with DafMatch. Null runs in a private context.
 ParallelMatchResult ParallelDafMatch(const Graph& query, const Graph& data,
                                      const MatchOptions& options,
                                      uint32_t num_threads,

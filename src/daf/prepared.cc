@@ -1,32 +1,13 @@
 #include "daf/prepared.h"
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
-#include <vector>
 
-#include "daf/steal.h"
-#include "util/timer.h"
-#include "util/topo.h"
+#include "daf/pipeline.h"
 
 namespace daf {
 
 namespace {
-
-// Budget-ledger half of the engines' FillMemoryProfile: prepared runs never
-// touch the context arena (the flat arrays live in the blob), so only the
-// budget counters are meaningful.
-void FillBudgetProfile(obs::SearchProfile* profile, const MemoryBudget* budget) {
-  if (profile == nullptr || budget == nullptr) return;
-  profile->memory.budget_limit_bytes = budget->limit();
-  profile->memory.budget_used_bytes = budget->used();
-  profile->memory.budget_peak_bytes = budget->peak_bytes();
-  profile->memory.budget_rejections = budget->rejections();
-  profile->memory.budget_exhausted = budget->exhausted();
-}
 
 // Approximate heap footprint of a finished blob, from the sizes the public
 // surface exposes: the flat CS arrays dominate (Figure 9), with the weight
@@ -54,53 +35,23 @@ PrepareOutcome PrepareQuery(const Graph& query, const Graph& data,
     outcome.error = "empty query graph";
     return outcome;
   }
-
-  Deadline deadline(options.time_limit_ms);
-  const StopCondition stop(options.time_limit_ms > 0 ? &deadline : nullptr,
-                           options.cancel, options.memory_budget);
-
+  const internal::RunStop stop(options);
+  // A shared blob's build reports into no caller's profile (searches reset
+  // theirs), so it runs uninstrumented.
+  MatchOptions build = options;
+  build.profile = nullptr;
   auto pq = std::make_shared<PreparedQuery>();
   pq->query = query;
   pq->refinement_steps = options.refinement_steps;
   pq->use_nlf_filter = options.use_nlf_filter;
   pq->use_mnd_filter = options.use_mnd_filter;
   pq->injective = options.injective;
-  pq->dag = QueryDag::Build(pq->query, data);
-
-  CandidateSpace::Options cs_options;
-  cs_options.refinement_steps = options.refinement_steps;
-  cs_options.use_nlf_filter = options.use_nlf_filter;
-  cs_options.use_mnd_filter = options.use_mnd_filter;
-  cs_options.injective = options.injective;
-  cs_options.stop = stop.armed() ? &stop : nullptr;
-  cs_options.budget = options.memory_budget;
-  // Standalone build: the blob owns its flat arrays (move-stable), so no
-  // arena has to outlive the cache entry.
-  pq->cs = CandidateSpace::Build(pq->query, pq->dag, data, cs_options);
-
-  if (pq->cs.interrupted()) {
-    outcome.interrupted = pq->cs.interrupt_cause();
-    return outcome;
-  }
-  if (StopCause cause = stop.Check(); cause != StopCause::kNone) {
-    // Exhaustion/cancel may latch between the CS build's sampled polls and
-    // its return; an interrupted build never yields a blob.
-    outcome.interrupted = cause;
-    return outcome;
-  }
-
-  for (uint32_t u = 0; u < pq->query.NumVertices(); ++u) {
-    if (pq->cs.NumCandidates(u) == 0) {
-      pq->cs_certified_negative = true;
-      break;
-    }
-  }
-  if (!pq->cs_certified_negative) {
-    // Weights are computed eagerly: the blob serves any matching order, and
-    // the pass is cheap next to the CS build it rides behind. The pointers
-    // into the CS's candidate offsets survive the shared_ptr's lifetime.
-    pq->weights = WeightArray::Compute(pq->dag, pq->cs);
-  }
+  // Standalone build (no context): the blob owns its flat arrays, so no
+  // arena has to outlive the cache entry. An interrupted build never yields
+  // a blob, even one that already holds a certificate.
+  outcome.interrupted = internal::Prepare(pq->query, data, build,
+                                          stop.condition, nullptr, pq.get());
+  if (outcome.interrupted != StopCause::kNone) return outcome;
   pq->resident_bytes = EstimateResidentBytes(*pq);
   outcome.prepared = std::move(pq);
   return outcome;
@@ -109,72 +60,8 @@ PrepareOutcome PrepareQuery(const Graph& query, const Graph& data,
 MatchResult DafMatchPrepared(const PreparedQuery& prepared, const Graph& data,
                              const MatchOptions& options,
                              MatchContext* context) {
-  MatchResult result;
-  result.cs_candidates = prepared.cs.TotalCandidates();
-  result.cs_edges = prepared.cs.TotalEdges();
-  obs::SearchProfile* profile = options.profile;
-  if (profile != nullptr) profile->Reset();
-  MemoryBudget* budget = options.memory_budget;
-
-  if (prepared.cs_certified_negative) {
-    // The blob carries the Appendix A.3 negativity certificate; it was
-    // established by an uninterrupted build, so it stays valid no matter
-    // what this run's budget does.
-    result.cs_certified_negative = true;
-    FillBudgetProfile(profile, budget);
-    return result;
-  }
-
-  Deadline deadline(options.time_limit_ms);
-  const StopCondition stop(options.time_limit_ms > 0 ? &deadline : nullptr,
-                           options.cancel, budget);
-  if (StopCause cause = stop.Check(); cause != StopCause::kNone) {
-    result.timed_out = cause == StopCause::kDeadline;
-    result.cancelled = cause == StopCause::kCancel;
-    result.resource_exhausted = cause == StopCause::kMemoryExhausted;
-    FillBudgetProfile(profile, budget);
-    return result;
-  }
-
-  MatchContext local_context;
-  if (context == nullptr) context = &local_context;
-  // The context arena is deliberately untouched: the CS and weights live in
-  // the shared blob, so a cache-hit run neither resets nor grows the arena.
-
-  Stopwatch search_timer;
-  Backtracker backtracker(
-      prepared.query, prepared.dag, prepared.cs,
-      options.order == MatchOrder::kPathSize ? &prepared.weights : nullptr,
-      data.NumVertices(), &context->backtrack_scratch(0));
-  BacktrackOptions bt;
-  bt.order = options.order;
-  bt.use_failing_sets = options.use_failing_sets;
-  bt.leaf_decomposition = options.leaf_decomposition;
-  bt.limit = options.limit;
-  bt.injective = options.injective;
-  bt.deadline = options.time_limit_ms > 0 ? &deadline : nullptr;
-  bt.cancel = options.cancel;
-  bt.budget = budget;
-  bt.equivalence = options.equivalence;
-  bt.callback = options.callback;
-  bt.profile = profile != nullptr ? &profile->backtrack : nullptr;
-  bt.progress = options.progress;
-  bt.progress_interval_ms = options.progress_interval_ms;
-  BacktrackStats stats = backtracker.Run(bt);
-  result.search_ms = search_timer.ElapsedMs();
-  if (profile != nullptr) profile->search_ms = result.search_ms;
-  FillBudgetProfile(profile, budget);
-
-  result.embeddings = stats.embeddings;
-  result.recursive_calls = stats.recursive_calls;
-  result.limit_reached = stats.limit_reached || stats.callback_stopped;
-  result.timed_out = stats.timed_out;
-  result.cancelled = stats.cancelled;
-  result.resource_exhausted = stats.resource_exhausted;
-  if (budget != nullptr && budget->exhausted()) {
-    result.resource_exhausted = true;
-  }
-  return result;
+  return internal::RunMatch<MatchResult>(prepared.query, &prepared, data,
+                                         options, 1, context);
 }
 
 ParallelMatchResult ParallelDafMatchPrepared(const PreparedQuery& prepared,
@@ -182,165 +69,8 @@ ParallelMatchResult ParallelDafMatchPrepared(const PreparedQuery& prepared,
                                              const MatchOptions& options,
                                              uint32_t num_threads,
                                              MatchContext* context) {
-  ParallelMatchResult result;
-  if (num_threads == 0) num_threads = 1;
-  result.cs_candidates = prepared.cs.TotalCandidates();
-  result.cs_edges = prepared.cs.TotalEdges();
-  MemoryBudget* budget = options.memory_budget;
-  obs::SearchProfile* profile = options.profile;
-  if (profile != nullptr) {
-    profile->Reset();
-    profile->threads = num_threads;
-  }
-
-  if (prepared.cs_certified_negative) {
-    result.cs_certified_negative = true;
-    FillBudgetProfile(profile, budget);
-    return result;
-  }
-
-  Deadline deadline(options.time_limit_ms);
-  const StopCondition stop(options.time_limit_ms > 0 ? &deadline : nullptr,
-                           options.cancel, budget);
-  if (StopCause cause = stop.Check(); cause != StopCause::kNone) {
-    result.timed_out = cause == StopCause::kDeadline;
-    result.cancelled = cause == StopCause::kCancel;
-    result.resource_exhausted = cause == StopCause::kMemoryExhausted;
-    FillBudgetProfile(profile, budget);
-    return result;
-  }
-
-  MatchContext local_context;
-  if (context == nullptr) context = &local_context;
-  const bool path_order = options.order == MatchOrder::kPathSize;
-
-  Stopwatch search_timer;
-  std::atomic<uint64_t> shared_count{0};
-  std::atomic<uint32_t> root_cursor{0};
-  const bool stealing =
-      options.parallel_strategy == ParallelStrategy::kWorkStealing &&
-      num_threads > 1;
-  const PinPlan pin_plan =
-      MakePinPlan(HwTopology::Get(), num_threads, options.pin_workers);
-  result.pinned = pin_plan.active;
-  std::unique_ptr<StealScheduler> scheduler;
-  if (stealing) {
-    scheduler = std::make_unique<StealScheduler>(
-        num_threads, options.split_threshold, pin_plan.socket);
-    scheduler->Seed(SubtreeTask{});
-  }
-  std::mutex callback_mutex;
-
-  EmbeddingCallback guarded_callback;
-  if (options.callback) {
-    guarded_callback = [&](std::span<const VertexId> embedding) {
-      std::lock_guard<std::mutex> lock(callback_mutex);
-      return options.callback(embedding);
-    };
-  }
-  obs::ProgressFn guarded_progress;
-  if (options.progress) {
-    guarded_progress = [&](const obs::ProgressSnapshot& snapshot) {
-      std::lock_guard<std::mutex> lock(callback_mutex);
-      options.progress(snapshot);
-    };
-  }
-
-  std::vector<obs::BacktrackProfile> thread_profiles(
-      profile != nullptr ? num_threads : 0);
-  std::vector<BacktrackStats> stats(num_threads);
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  context->EnsureThreads(num_threads);
-  for (uint32_t t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t]() {
-      if (pin_plan.active) PinCurrentThreadToCpu(pin_plan.cpu[t]);
-      Backtracker backtracker(prepared.query, prepared.dag, prepared.cs,
-                              path_order ? &prepared.weights : nullptr,
-                              data.NumVertices(),
-                              &context->backtrack_scratch(t));
-      BacktrackOptions bt;
-      bt.order = options.order;
-      bt.use_failing_sets = options.use_failing_sets;
-      bt.leaf_decomposition = options.leaf_decomposition;
-      bt.limit = options.limit;
-      bt.injective = options.injective;
-      bt.deadline = options.time_limit_ms > 0 ? &deadline : nullptr;
-      bt.cancel = options.cancel;
-      bt.budget = budget;
-      bt.shared_count = &shared_count;
-      bt.equivalence = options.equivalence;
-      bt.callback = guarded_callback;
-      bt.profile = profile != nullptr ? &thread_profiles[t] : nullptr;
-      bt.progress = guarded_progress;
-      bt.progress_interval_ms = options.progress_interval_ms;
-      bt.thread_id = t;
-      if (stealing) {
-        bt.scheduler = scheduler.get();
-        bt.split_threshold = options.split_threshold;
-        stats[t] = backtracker.RunWorker(bt);
-      } else {
-        bt.root_cursor = &root_cursor;
-        stats[t] = backtracker.Run(bt);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  result.search_ms = search_timer.ElapsedMs();
-
-  result.threads_used = num_threads;
-  result.per_thread_calls.resize(num_threads);
-  uint64_t max_calls = 0;
-  for (uint32_t t = 0; t < num_threads; ++t) {
-    result.embeddings += stats[t].embeddings;
-    result.recursive_calls += stats[t].recursive_calls;
-    result.per_thread_calls[t] = stats[t].recursive_calls;
-    max_calls = std::max(max_calls, stats[t].recursive_calls);
-    result.limit_reached |= stats[t].limit_reached ||
-                            stats[t].callback_stopped;
-    result.timed_out |= stats[t].timed_out;
-    result.cancelled |= stats[t].cancelled;
-    result.resource_exhausted |= stats[t].resource_exhausted;
-  }
-  if (budget != nullptr && budget->exhausted()) {
-    result.resource_exhausted = true;
-  }
-  if (result.recursive_calls > 0) {
-    result.call_imbalance = static_cast<double>(max_calls) * num_threads /
-                            static_cast<double>(result.recursive_calls);
-  }
-  std::vector<uint64_t> per_thread_steals(num_threads, 0);
-  if (scheduler != nullptr) {
-    for (uint32_t t = 0; t < num_threads; ++t) {
-      const StealWorkerStats& ws = scheduler->worker_stats(t);
-      result.tasks_executed += ws.tasks_executed;
-      result.steals += ws.steals;
-      result.local_steals += ws.local_steals;
-      result.remote_steals += ws.remote_steals;
-      result.donations += ws.donations;
-      result.idle_ms += ws.idle_ms;
-      per_thread_steals[t] = ws.steals;
-    }
-  }
-  if (profile != nullptr) {
-    profile->search_ms = result.search_ms;
-    for (const obs::BacktrackProfile& tp : thread_profiles) {
-      profile->backtrack.MergeFrom(tp);
-    }
-    profile->thread_profiles = std::move(thread_profiles);
-    profile->parallel.tasks_executed = result.tasks_executed;
-    profile->parallel.steals = result.steals;
-    profile->parallel.local_steals = result.local_steals;
-    profile->parallel.remote_steals = result.remote_steals;
-    profile->parallel.donations = result.donations;
-    profile->parallel.idle_ms = result.idle_ms;
-    profile->parallel.call_imbalance = result.call_imbalance;
-    profile->parallel.pinned = result.pinned;
-    profile->parallel.per_thread_calls = result.per_thread_calls;
-    profile->parallel.per_thread_steals = std::move(per_thread_steals);
-  }
-  FillBudgetProfile(profile, budget);
-  return result;
+  return internal::RunMatch<ParallelMatchResult>(
+      prepared.query, &prepared, data, options, num_threads, context);
 }
 
 }  // namespace daf

@@ -13,16 +13,14 @@
 
 namespace daf {
 
-/// The shareable, immutable prefix of the DAF pipeline for one (query, data
-/// graph) pair: the rooted query DAG, the fully built CandidateSpace (self-
-/// owned storage — no arena to outlive), and the path-size weight array.
-/// All three are pure functions of (query, data, CS build options), so one
-/// PreparedQuery may serve any number of concurrent read-only searches —
-/// this is the artifact the service-level query cache stores and leases.
-///
-/// Build once with PrepareQuery, then run any number of searches with
-/// DafMatchPrepared / ParallelDafMatchPrepared, each skipping BuildDAG, CS
-/// construction, and the weight pass entirely.
+/// The output of the pipeline's prepare stage for one (query, data graph)
+/// pair: the rooted query DAG, the CandidateSpace, and the path-size weight
+/// array. Built by PrepareQuery it is self-owned (no arena to outlive) and
+/// immutable, so one blob may serve any number of concurrent read-only
+/// searches through DafMatchPrepared / ParallelDafMatchPrepared — this is
+/// the artifact the service-level query cache stores and leases. A cold
+/// DafMatch run prepares into a PreparedQuery of its own whose arrays live
+/// in the MatchContext arena (and whose `query` stays empty).
 struct PreparedQuery {
   /// The query graph the structures below were built for. Searches run
   /// against *this* graph; callers matching a relabeled isomorph must remap
@@ -66,21 +64,18 @@ struct PrepareOutcome {
 PrepareOutcome PrepareQuery(const Graph& query, const Graph& data,
                             const MatchOptions& options);
 
-/// Runs the DAF search against a prebuilt PreparedQuery, skipping all
-/// preprocessing: semantically identical to DafMatch(prepared.query, data,
-/// options, context) — same embedding set, same counters — with
-/// preprocess_ms ~ 0. The prepared blob is only read, so any number of
-/// concurrent calls may share one blob; each call still needs its own
-/// `context` (or nullptr for a private one). `options` must agree with the
-/// blob's CS fingerprint for the results to mean anything; the service's
-/// cache keys on that fingerprint.
+/// The search stage alone, over a prebuilt PreparedQuery: semantically
+/// identical to DafMatch(prepared.query, data, options, context), with
+/// preprocess_ms = 0. A blob's certificate is reported whatever the run's
+/// stop sources say (it came from an uninterrupted build). The blob is only
+/// read; each concurrent call needs its own `context` (or nullptr for a
+/// private one). `options` must agree with the blob's CS fingerprint for
+/// the results to mean anything; the service's cache keys on it.
 MatchResult DafMatchPrepared(const PreparedQuery& prepared, const Graph& data,
                              const MatchOptions& options,
                              MatchContext* context = nullptr);
 
-/// Parallel counterpart of DafMatchPrepared: the work-stealing (or
-/// root-cursor) engine over a shared prebuilt CS. Mirrors ParallelDafMatch
-/// minus the preprocessing stages.
+/// Parallel counterpart of DafMatchPrepared (see ParallelDafMatch).
 ParallelMatchResult ParallelDafMatchPrepared(const PreparedQuery& prepared,
                                              const Graph& data,
                                              const MatchOptions& options,

@@ -128,14 +128,6 @@ uint32_t HwTopology::SocketOfCpu(uint32_t cpu_id) const {
   return 0;
 }
 
-uint32_t HwTopology::CurrentSocket() const {
-#if defined(__linux__)
-  const int cpu = sched_getcpu();
-  if (cpu >= 0) return SocketOfCpu(static_cast<uint32_t>(cpu));
-#endif
-  return 0;
-}
-
 std::vector<uint32_t> HwTopology::PinOrder() const {
   std::vector<const Cpu*> order;
   order.reserve(cpus.size());

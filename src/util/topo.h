@@ -43,10 +43,6 @@ struct HwTopology {
   /// Socket of a logical cpu id; 0 for unknown ids.
   uint32_t SocketOfCpu(uint32_t cpu_id) const;
 
-  /// Socket of the cpu the calling thread is running on right now
-  /// (sched_getcpu); 0 when unavailable.
-  uint32_t CurrentSocket() const;
-
   /// Logical cpu ids in pinning order: socket-major, physical cores before
   /// their SMT siblings within each socket — so k workers on one socket
   /// land on k distinct cores before any hyperthread pair doubles up.
@@ -55,8 +51,8 @@ struct HwTopology {
 
 /// A worker -> cpu/socket assignment produced by MakePinPlan. When inactive
 /// (pinning disabled, or nothing to gain on a single-cpu host) `cpu` holds
-/// -1s and every worker maps to socket 0; `socket` is always sized to the
-/// worker count so it can seed StealScheduler's locality order directly.
+/// -1s and every worker maps to socket 0; both vectors are always sized to
+/// the worker count.
 struct PinPlan {
   bool active = false;
   std::vector<int> cpu;          // per worker; -1 = unpinned

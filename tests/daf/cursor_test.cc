@@ -224,5 +224,33 @@ TEST(CursorTest, SequentialCursorsShareAMatchContext) {
   EXPECT_EQ(context.arena_stats().blocks_acquired, 0u);
 }
 
+// The cursor owns the delivery channel: a caller-set callback is rejected
+// in every build type (not only where asserts are compiled in). Neither
+// constructor starts a search; Next() is dry and Finish() reports the error
+// instead of silently dropping the caller's callback.
+TEST(CursorTest, CallerCallbackIsRejected) {
+  Graph data = MakeClique({0, 0, 0, 0, 0});
+  Graph query = MakeCycle({0, 0, 0});
+  uint64_t calls = 0;
+  MatchOptions options;
+  options.callback = [&calls](std::span<const VertexId>) {
+    ++calls;
+    return true;
+  };
+  PrepareOutcome prepared = PrepareQuery(query, data, MatchOptions{});
+  ASSERT_NE(prepared.prepared, nullptr);
+  EmbeddingCursor cold(query, data, options);
+  EmbeddingCursor warm(prepared.prepared, data, options);
+  for (EmbeddingCursor* cursor : {&cold, &warm}) {
+    EXPECT_FALSE(cursor->Next().has_value());
+    const MatchResult& result = cursor->Finish();
+    EXPECT_FALSE(result.ok);
+    EXPECT_FALSE(result.error.empty());
+    EXPECT_EQ(result.embeddings, 0u);
+    EXPECT_FALSE(cursor->Next().has_value());
+  }
+  EXPECT_EQ(calls, 0u);
+}
+
 }  // namespace
 }  // namespace daf
