@@ -147,22 +147,6 @@ CandidateSpace CandidateSpace::BuildImpl(const Graph& query,
   cand_data.clear();
   cand_offsets.assign(n + 1, 0);
   std::vector<std::pair<Label, uint32_t>>& profile = scratch->nlf_profile;
-  // Lazy per-data-vertex neighbor-label runs. Adjacency lists are sorted by
-  // (label, id), so one O(deg) scan yields the (label, count) runs; every
-  // later NLF check of the same vertex is then a two-pointer merge over two
-  // short sorted arrays instead of per-label binary searches into the
-  // adjacency array.
-  constexpr uint32_t kNoRuns = static_cast<uint32_t>(-1);
-  std::vector<uint32_t>& run_start = scratch->nlf_run_start;
-  std::vector<uint32_t>& run_len = scratch->nlf_run_len;
-  std::vector<Label>& run_labels = scratch->nlf_run_labels;
-  std::vector<uint32_t>& run_counts = scratch->nlf_run_counts;
-  if (options.use_nlf_filter) {
-    run_start.assign(data_n, kNoRuns);
-    run_len.resize(data_n);
-    run_labels.clear();
-    run_counts.clear();
-  }
   for (uint32_t u = 0; u < n; ++u) {
     staging.Update(*scratch);
     if (stopped()) {
@@ -194,29 +178,15 @@ CandidateSpace CandidateSpace::BuildImpl(const Graph& query,
       }
       bool nlf_ok = true;
       if (!profile.empty()) {
-        uint32_t rs = run_start[v];
-        if (rs == kNoRuns) {
-          rs = static_cast<uint32_t>(run_labels.size());
-          run_start[v] = rs;
-          for (VertexId w : data.Neighbors(v)) {
-            Label lw = data.label(w);
-            if (run_labels.size() > rs && run_labels.back() == lw) {
-              ++run_counts.back();
-            } else {
-              run_labels.push_back(lw);
-              run_counts.push_back(1);
-            }
-          }
-          run_len[v] = static_cast<uint32_t>(run_labels.size()) - rs;
-        }
-        const Label* rl = run_labels.data() + rs;
-        const uint32_t* rc = run_counts.data() + rs;
-        const uint32_t nruns = run_len[v];
-        uint32_t ri = 0;
+        // Two-pointer merge of u's profile with v's neighbor-label runs
+        // (both ascending by label).
+        std::span<const Graph::LabelRun> runs = data.NeighborLabelRuns(v);
+        size_t ri = 0;
         for (const auto& [label, count] : profile) {
-          while (ri < nruns && rl[ri] < label) ++ri;
-          if (ri == nruns || rl[ri] != label ||
-              rc[ri] < (options.injective ? count : 1)) {
+          while (ri < runs.size() && runs[ri].label < label) ++ri;
+          if (ri == runs.size() || runs[ri].label != label ||
+              runs[ri].end - (ri == 0 ? 0 : runs[ri - 1].end) <
+                  (options.injective ? count : 1)) {
             nlf_ok = false;
             break;
           }

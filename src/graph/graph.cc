@@ -144,6 +144,31 @@ void Graph::BuildDerivedIndexes() {
       vertices_by_label_[cursor[labels_[v]]++] = v;
     }
   }
+
+  // Neighbor-label runs, sized exactly: count each vertex's label changes,
+  // then fill the (label, end offset) pairs.
+  run_offsets_.assign(n + 1, 0);
+  for (uint32_t v = 0; v < n; ++v) {
+    uint64_t runs = 0;
+    Label prev = 0;
+    for (VertexId w : Neighbors(v)) {
+      if (runs == 0 || labels_[w] != prev) {
+        ++runs;
+        prev = labels_[w];
+      }
+    }
+    run_offsets_[v + 1] = run_offsets_[v] + runs;
+  }
+  label_runs_.resize(run_offsets_[n]);
+  for (uint32_t v = 0; v < n; ++v) {
+    LabelRun* run = label_runs_.data() + run_offsets_[v];
+    std::span<const VertexId> neighbors = Neighbors(v);
+    for (uint32_t i = 0; i < neighbors.size(); ++i) {
+      const Label l = labels_[neighbors[i]];
+      if (i > 0 && l != run->label) ++run;
+      *run = {l, i + 1};
+    }
+  }
 }
 
 Graph::CsrParts Graph::ToCsrParts() const {
@@ -263,61 +288,11 @@ std::optional<Graph> Graph::FromCsrParts(CsrParts parts, std::string* error) {
   return g;
 }
 
-std::span<const VertexId> Graph::NeighborsWithLabel(VertexId v,
-                                                    Label l) const {
-  std::span<const VertexId> all = Neighbors(v);
-  auto lo = std::lower_bound(
-      all.begin(), all.end(), l,
-      [this](VertexId a, Label key) { return labels_[a] < key; });
-  auto hi = std::upper_bound(
-      lo, all.end(), l,
-      [this](Label key, VertexId a) { return key < labels_[a]; });
-  return {lo, hi};
-}
-
-Graph::NeighborSlice Graph::NeighborsWithLabelAndEdges(VertexId v,
-                                                       Label l) const {
-  std::span<const VertexId> vertices = NeighborsWithLabel(v, l);
-  if (vertices.empty()) return {{}, {}};
-  const uint64_t base =
-      static_cast<uint64_t>(vertices.data() - adjacency_.data());
-  return {vertices, {edge_labels_.data() + base, vertices.size()}};
-}
-
-uint32_t Graph::NeighborLabelVariety(VertexId v) const {
-  std::span<const VertexId> all = Neighbors(v);
-  uint32_t variety = 0;
-  Label prev = static_cast<Label>(-1);
-  for (VertexId u : all) {
-    if (labels_[u] != prev) {
-      ++variety;
-      prev = labels_[u];
-    }
-  }
-  return variety;
-}
-
-namespace {
-
-// Index of v within u's adjacency slice, or -1 when the edge is absent.
-// `slice` must be u's neighbors-with-v's-label sub-range and `base` its
-// offset into the global adjacency array.
-int64_t FindInSlice(std::span<const VertexId> slice, uint64_t base,
-                    VertexId v) {
-  auto it = std::lower_bound(slice.begin(), slice.end(), v);
-  if (it == slice.end() || *it != v) return -1;
-  return static_cast<int64_t>(base + (it - slice.begin()));
-}
-
-}  // namespace
-
 int64_t Graph::FindNeighborIndex(VertexId u, VertexId v) const {
   std::span<const VertexId> slice = NeighborsWithLabel(u, labels_[v]);
-  if (slice.empty()) return -1;
-  uint64_t base =
-      offsets_[u] + static_cast<uint64_t>(slice.data() -
-                                          (adjacency_.data() + offsets_[u]));
-  return FindInSlice(slice, base, v);
+  auto it = std::lower_bound(slice.begin(), slice.end(), v);
+  if (it == slice.end() || *it != v) return -1;
+  return &*it - adjacency_.data();
 }
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {

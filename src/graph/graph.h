@@ -1,6 +1,8 @@
 #ifndef DAF_GRAPH_GRAPH_H_
 #define DAF_GRAPH_GRAPH_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -28,13 +30,18 @@ using Edge = std::pair<VertexId, VertexId>;
 /// data graphs throughout the library (Section 2 of the paper: undirected,
 /// connected, vertex-labeled graphs).
 ///
-/// Adjacency lists are sorted by (neighbor label, neighbor id). This makes
-/// the two access patterns that dominate subgraph matching O(log deg) /
-/// contiguous:
-///   * `NeighborsWithLabel(v, l)` — the sub-range of v's neighbors carrying
-///     label l (used to materialize the CS edges `N^u_{uc}(v)` and to
-///     evaluate neighborhood-label-frequency filters), and
-///   * `HasEdge(u, v)` — binary search using the (label, id) key.
+/// Adjacency lists are sorted by (neighbor label, neighbor id), so the
+/// neighbors of v sharing one label form a contiguous run. A per-vertex
+/// index of those runs — `(label, end offset)` pairs, built once with the
+/// graph — makes the two access patterns that dominate subgraph matching
+/// cheap:
+///   * `NeighborsWithLabel(v, l)` — the run of v's neighbors carrying
+///     label l, found by scanning (or, past 16 runs, binary-searching) v's
+///     short run list instead of its adjacency (used to materialize the CS
+///     edges `N^u_{uc}(v)` and to refine candidates), with the run list
+///     itself (`NeighborLabelRuns`) doubling as v's neighborhood label
+///     frequency profile, and
+///   * `HasEdge(u, v)` — binary search of v within u's run for v's label.
 ///
 /// Vertices are additionally indexed by label (`VerticesWithLabel`) to
 /// produce the initial candidate sets `C_ini(u)`.
@@ -138,8 +145,38 @@ class Graph {
     return {adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
-  /// The neighbors of v that carry label l (contiguous sub-range).
-  std::span<const VertexId> NeighborsWithLabel(VertexId v, Label l) const;
+  /// One run of equally labeled neighbors in v's adjacency: the run covers
+  /// Neighbors(v)[previous run's end, end), or [0, end) for v's first run.
+  struct LabelRun {
+    Label label;
+    uint32_t end;
+  };
+
+  /// v's neighbor-label runs, ascending by label (one per distinct label).
+  /// The count of run i is `end - (i == 0 ? 0 : runs[i - 1].end)`.
+  std::span<const LabelRun> NeighborLabelRuns(VertexId v) const {
+    return {label_runs_.data() + run_offsets_[v],
+            run_offsets_[v + 1] - run_offsets_[v]};
+  }
+
+  /// The neighbors of v that carry label l (contiguous sub-range). Empty
+  /// when there is none; its position is then where such neighbors would
+  /// sit in Neighbors(v).
+  std::span<const VertexId> NeighborsWithLabel(VertexId v, Label l) const {
+    const LabelRun* first = label_runs_.data() + run_offsets_[v];
+    const LabelRun* last = label_runs_.data() + run_offsets_[v + 1];
+    const LabelRun* it = first;
+    if (last - first <= kLinearRunScan) {
+      while (it != last && it->label < l) ++it;
+    } else {
+      it = std::lower_bound(
+          first, last, l,
+          [](const LabelRun& run, Label key) { return run.label < key; });
+    }
+    const uint32_t begin = it == first ? 0 : it[-1].end;
+    const uint32_t end = it != last && it->label == l ? it->end : begin;
+    return {adjacency_.data() + offsets_[v] + begin, end - begin};
+  }
 
   /// Number of neighbors of v with label l (the NLF value).
   uint32_t NeighborLabelCount(VertexId v, Label l) const {
@@ -147,7 +184,9 @@ class Graph {
   }
 
   /// Number of distinct labels among v's neighbors.
-  uint32_t NeighborLabelVariety(VertexId v) const;
+  uint32_t NeighborLabelVariety(VertexId v) const {
+    return static_cast<uint32_t>(run_offsets_[v + 1] - run_offsets_[v]);
+  }
 
   /// True iff the undirected edge (u, v) exists.
   bool HasEdge(VertexId u, VertexId v) const;
@@ -175,7 +214,12 @@ class Graph {
     std::span<const VertexId> vertices;
     std::span<const Label> edge_labels;
   };
-  NeighborSlice NeighborsWithLabelAndEdges(VertexId v, Label l) const;
+  NeighborSlice NeighborsWithLabelAndEdges(VertexId v, Label l) const {
+    std::span<const VertexId> vertices = NeighborsWithLabel(v, l);
+    return {vertices,
+            {edge_labels_.data() + (vertices.data() - adjacency_.data()),
+             vertices.size()}};
+  }
 
   /// All vertices carrying label l, ascending by id.
   std::span<const VertexId> VerticesWithLabel(Label l) const {
@@ -193,10 +237,17 @@ class Graph {
   std::vector<std::pair<Edge, Label>> LabeledEdgeList() const;
 
  private:
+  /// Position of v in adjacency_ within u's neighbors, or -1 when the edge
+  /// (u, v) is absent.
   int64_t FindNeighborIndex(VertexId u, VertexId v) const;
 
-  /// Fills nontrivial_edge_labels_, max_neighbor_degree_, and the label
-  /// index from labels_/offsets_/adjacency_/edge_labels_.
+  /// Run lists at most this long are scanned linearly by
+  /// NeighborsWithLabel; longer ones (hubs) are binary-searched.
+  static constexpr std::ptrdiff_t kLinearRunScan = 16;
+
+  /// Fills nontrivial_edge_labels_, max_neighbor_degree_, the label index
+  /// and the neighbor-label runs from labels_/offsets_/adjacency_/
+  /// edge_labels_.
   void BuildDerivedIndexes();
 
   std::vector<Label> labels_;
@@ -209,6 +260,8 @@ class Graph {
   std::vector<uint64_t> label_offsets_;  // |Σ|+1
   std::vector<VertexId> vertices_by_label_;
   std::vector<uint32_t> label_frequency_;
+  std::vector<uint64_t> run_offsets_;  // |V|+1 starts into label_runs_
+  std::vector<LabelRun> label_runs_;   // per vertex, ascending by label
 };
 
 }  // namespace daf

@@ -581,9 +581,9 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
 
   // Pure pre-pass: the net change set, and per subscription the embeddings
   // it destroys — both read the pre-batch graph, so they must run before
-  // ApplyBatch. Nothing is delivered yet: if the apply itself fails (an
-  // injected delta_apply fault), the negatives are simply dropped and no
-  // subscriber observes a version that never existed.
+  // the net change is installed. Nothing is delivered yet: if the apply
+  // itself fails (an injected delta_apply fault), the negatives are simply
+  // dropped and no subscriber observes a version that never existed.
   dyn::NormalizedBatch net;
   std::string error;
   if (!dgraph_.Normalize(batch, &net, &error)) {
@@ -627,7 +627,15 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
   uint64_t checkpoint_version = 0;
   {
     std::lock_guard<std::mutex> glock(graph_mutex_);
-    dyn::ApplyResult r = dgraph_.ApplyBatch(batch);
+    // Install the net change normalized above: writers are serialized by
+    // update_mutex_, so it still applies to the current version.
+    dyn::ApplyResult r;
+    if (FAULT_POINT(delta_apply)) {
+      r.ok = false;
+      r.error = "injected fault: delta_apply";
+    } else {
+      r = dgraph_.ApplyNormalized(net, batch.add_vertices);
+    }
     if (!r.ok) {
       if (logged) {
         // The WAL holds a batch the graph refused; truncate it back out.
@@ -659,7 +667,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
 
     // Post-pass per subscription: maintain the candidates, enumerate the
     // created embeddings, deliver. Still under graph_mutex_ because the
-    // rebuild fallback (and compaction inside ApplyBatch) materializes.
+    // rebuild fallback (and compaction on install) materializes.
     notify_ms.reserve(subscriptions_.size());
     for (size_t i = 0; i < subscriptions_.size(); ++i) {
       internal::SubscriptionState& sub = *subscriptions_[i];
@@ -702,6 +710,10 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
       notify_ms.push_back(notify_timer.ElapsedMs());
     }
   }
+
+  // Blobs keyed to older versions can never hit again; free them now
+  // instead of leaving them to LRU pressure.
+  if (cache_ != nullptr) cache_->PurgeBefore(out.version);
 
   if (checkpoint_graph != nullptr) {
     // Still under update_mutex_ (checkpoints serialize with appends) but

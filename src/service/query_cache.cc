@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "util/fault_inject.h"
@@ -47,19 +48,22 @@ QueryCache::Shard& QueryCache::ShardFor(const Key& key) {
   return *shards_[KeyHash{}(key) % shards_.size()];
 }
 
-bool QueryCache::EvictOne(Shard& shard) {
-  if (shard.lru.empty()) return false;
-  if (FAULT_POINT(cache_evict)) return false;  // injected eviction failure
-  const Key& victim = shard.lru.back();
-  auto it = shard.entries.find(victim);
+void QueryCache::Erase(Shard& shard,
+                       std::unordered_map<Key, Entry, KeyHash>::iterator it) {
   const uint64_t bytes = it->second.bytes;
   // The blob itself dies with its last lease, not here: erasing the entry
   // only drops the cache's reference.
+  shard.lru.erase(it->second.lru_it);
   shard.entries.erase(it);
-  shard.lru.pop_back();
   resident_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   entries_.fetch_sub(1, std::memory_order_relaxed);
   ledger_.Uncharge(bytes);
+}
+
+bool QueryCache::EvictOne(Shard& shard) {
+  if (shard.lru.empty()) return false;
+  if (FAULT_POINT(cache_evict)) return false;  // injected eviction failure
+  Erase(shard, shard.entries.find(shard.lru.back()));
   evictions_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -164,7 +168,11 @@ QueryCache::Lease QueryCache::Acquire(const Graph& query, const Graph& data,
 
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (built.prepared != nullptr) {
+    // A build for a version PurgeBefore already retired is never retained;
+    // the floor is read under the shard lock, so either this insert sees it
+    // or the purge's sweep of this shard sees the entry.
+    if (built.prepared != nullptr &&
+        graph_id >= version_floor_.load(std::memory_order_acquire)) {
       if (!Insert(shard, key, built.prepared)) {
         // Not retained (fault injection or memory pressure): the caller —
         // and every latch waiter — still gets the blob; only reuse by
@@ -203,13 +211,28 @@ QueryCacheStats QueryCache::Stats() const {
 void QueryCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [key, entry] : shard->entries) {
-      resident_bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      ledger_.Uncharge(entry.bytes);
+    while (!shard->entries.empty()) Erase(*shard, shard->entries.begin());
+  }
+}
+
+void QueryCache::PurgeBefore(uint64_t graph_id) {
+  uint64_t floor = version_floor_.load(std::memory_order_relaxed);
+  while (floor < graph_id &&
+         !version_floor_.compare_exchange_weak(floor, graph_id,
+                                               std::memory_order_release)) {
+  }
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    for (auto it = shard->entries.begin(); it != shard->entries.end();) {
+      // Key layout (Acquire): [options fingerprint, graph_id option,
+      // graph version, canonical encoding...].
+      auto next = std::next(it);
+      if (it->first[2] < graph_id) {
+        Erase(*shard, it);
+        evictions_.fetch_add(1, std::memory_order_relaxed);
+      }
+      it = next;
     }
-    shard->entries.clear();
-    shard->lru.clear();
   }
 }
 

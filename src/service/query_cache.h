@@ -52,7 +52,7 @@ struct QueryCacheStats {
   uint64_t hits = 0;        // served from a resident entry
   uint64_t misses = 0;      // this caller built (insert may still fail)
   uint64_t coalesced = 0;   // waited on another caller's in-flight build
-  uint64_t evictions = 0;   // entries removed by LRU pressure
+  uint64_t evictions = 0;   // entries removed by LRU pressure or a purge
   uint64_t insert_failures = 0;  // built but not retained (fault/pressure)
   uint64_t uncacheable = 0;      // canonization overran its leaf cap
   uint64_t resident_bytes = 0;   // current footprint
@@ -119,8 +119,9 @@ class QueryCache {
   /// run. `graph_id` is the version of `data` at this call (on top of the
   /// construction-time QueryCacheOptions::graph_id): it keys the lookup, so
   /// blobs built against an older version of a mutating graph can never be
-  /// served after an update — they linger unreachable until LRU pressure
-  /// evicts them. Thread-safe; any number of workers may call concurrently.
+  /// served after an update; PurgeBefore drops them as soon as a newer
+  /// version is installed. Thread-safe; any number of workers may call
+  /// concurrently.
   Lease Acquire(const Graph& query, const Graph& data,
                 const MatchOptions& options, uint64_t graph_id = 0);
 
@@ -130,6 +131,14 @@ class QueryCache {
   /// Drops every resident entry (leases stay valid). In-flight builds are
   /// not affected; they may still publish afterwards.
   void Clear();
+
+  /// Drops every resident entry keyed to a graph version below `graph_id`
+  /// and stops retaining builds for such versions (an in-flight build for
+  /// an old version still serves its caller and waiters, but is not
+  /// inserted). Call after installing version `graph_id`: those blobs can
+  /// never be hit again. Purged entries count as evictions; leases stay
+  /// valid.
+  void PurgeBefore(uint64_t graph_id);
 
  private:
   struct InFlight {
@@ -160,6 +169,10 @@ class QueryCache {
   /// Evicts `shard`'s LRU tail entry; false when the shard is empty or the
   /// cache_evict fault point fired. Caller holds shard.mutex.
   bool EvictOne(Shard& shard);
+  /// Removes the entry at `it` and returns its bytes to the ledger. Caller
+  /// holds shard.mutex.
+  void Erase(Shard& shard,
+             std::unordered_map<Key, Entry, KeyHash>::iterator it);
   /// Makes room for and inserts (key, blob); false when the entry was not
   /// retained (counted as insert_failure). Caller holds shard.mutex.
   bool Insert(Shard& shard, const Key& key,
@@ -181,6 +194,8 @@ class QueryCache {
   mutable std::atomic<uint64_t> uncacheable_{0};
   std::atomic<uint64_t> resident_bytes_{0};
   std::atomic<uint64_t> entries_{0};
+  /// Lowest graph version still retained (PurgeBefore's argument).
+  std::atomic<uint64_t> version_floor_{0};
 };
 
 }  // namespace daf::service

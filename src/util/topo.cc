@@ -121,13 +121,6 @@ const HwTopology& HwTopology::Get() {
   return topo;
 }
 
-uint32_t HwTopology::SocketOfCpu(uint32_t cpu_id) const {
-  for (const Cpu& cpu : cpus) {
-    if (cpu.id == cpu_id) return cpu.socket;
-  }
-  return 0;
-}
-
 std::vector<uint32_t> HwTopology::PinOrder() const {
   std::vector<const Cpu*> order;
   order.reserve(cpus.size());
@@ -147,14 +140,11 @@ std::vector<uint32_t> HwTopology::PinOrder() const {
 PinPlan MakePinPlan(const HwTopology& topo, uint32_t num_workers, bool pin) {
   PinPlan plan;
   plan.cpu.assign(num_workers, -1);
-  plan.socket.assign(num_workers, 0);
   if (!pin || topo.cpus.size() <= 1 || num_workers == 0) return plan;
   const std::vector<uint32_t> order = topo.PinOrder();
   plan.active = true;
   for (uint32_t w = 0; w < num_workers; ++w) {
-    const uint32_t cpu_id = order[w % order.size()];
-    plan.cpu[w] = static_cast<int>(cpu_id);
-    plan.socket[w] = topo.SocketOfCpu(cpu_id);
+    plan.cpu[w] = static_cast<int>(order[w % order.size()]);
   }
   return plan;
 }

@@ -40,23 +40,18 @@ struct HwTopology {
   /// The machine topology, parsed once per process from the real sysfs.
   static const HwTopology& Get();
 
-  /// Socket of a logical cpu id; 0 for unknown ids.
-  uint32_t SocketOfCpu(uint32_t cpu_id) const;
-
   /// Logical cpu ids in pinning order: socket-major, physical cores before
   /// their SMT siblings within each socket — so k workers on one socket
   /// land on k distinct cores before any hyperthread pair doubles up.
   std::vector<uint32_t> PinOrder() const;
 };
 
-/// A worker -> cpu/socket assignment produced by MakePinPlan. When inactive
+/// A worker -> cpu assignment produced by MakePinPlan. When inactive
 /// (pinning disabled, or nothing to gain on a single-cpu host) `cpu` holds
-/// -1s and every worker maps to socket 0; both vectors are always sized to
-/// the worker count.
+/// -1s; it is always sized to the worker count.
 struct PinPlan {
   bool active = false;
-  std::vector<int> cpu;          // per worker; -1 = unpinned
-  std::vector<uint32_t> socket;  // per worker home socket
+  std::vector<int> cpu;  // per worker; -1 = unpinned
 };
 
 /// Assigns `num_workers` workers to cpus in PinOrder (wrapping when

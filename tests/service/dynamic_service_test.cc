@@ -171,6 +171,37 @@ TEST_F(DynamicServiceTest, QueryCacheCannotServeStaleGraph) {
   EXPECT_EQ(m.cache_hits, 2u);
 }
 
+TEST_F(DynamicServiceTest, UpdatePurgesStaleCacheEntries) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  MatchService service(SmallData(), options);
+  auto run = [&](size_t expect_count) {
+    JobHandle h = service.Submit(PathJob());
+    EXPECT_EQ(h.Wait(), JobStatus::kDone);
+    EXPECT_EQ(h.Result().embeddings, expect_count);
+  };
+  run(1);
+  auto m = service.Metrics();
+  ASSERT_EQ(m.cache_entries, 1u);
+  EXPECT_GT(m.cache_resident_bytes, 0u);
+
+  // The version-0 blob can never hit again once v1 is installed: it is
+  // dropped with the update, not left for LRU pressure.
+  dyn::UpdateBatch batch;
+  batch.InsertEdge(1, 3);
+  ASSERT_TRUE(service.ApplyUpdates(batch).ok);
+  m = service.Metrics();
+  EXPECT_EQ(m.cache_entries, 0u);
+  EXPECT_EQ(m.cache_resident_bytes, 0u);
+  EXPECT_EQ(m.cache_evictions, 1u);
+
+  run(2);
+  m = service.Metrics();
+  EXPECT_EQ(m.cache_entries, 1u);
+  EXPECT_EQ(m.cache_hits + m.cache_misses + m.cache_coalesced,
+            m.cache_lookups);
+}
+
 TEST_F(DynamicServiceTest, OverflowDegradesToResync) {
   ServiceOptions options;
   options.num_workers = 1;

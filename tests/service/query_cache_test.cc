@@ -397,5 +397,46 @@ TEST_F(QueryCacheTest, ParentBudgetPressureNeverLatchesTheParent) {
   EXPECT_FALSE(parent.exhausted());
 }
 
+TEST_F(QueryCacheTest, PurgeBeforeDropsOlderVersionsAndKeepsLeases) {
+  MemoryBudget parent;  // unlimited, pure accounting
+  QueryCacheOptions options;
+  options.budget = &parent;
+  QueryCache cache(options);
+  Graph data = MakeClique(std::vector<Label>(8, 0));
+  const Graph triangle = MakeClique(std::vector<Label>(3, 0));
+  const Graph path = MakePath({0, 0, 0, 0});
+
+  QueryCache::Lease held = cache.Acquire(triangle, data, {}, /*graph_id=*/0);
+  ASSERT_NE(held.prepared, nullptr);
+  ASSERT_NE(cache.Acquire(path, data, {}, 0).prepared, nullptr);
+  QueryCache::Lease current = cache.Acquire(triangle, data, {}, 1);
+  ASSERT_NE(current.prepared, nullptr);
+  ASSERT_EQ(cache.Stats().entries, 3u);
+
+  // Version 1 installed: both version-0 entries and their bytes go, the
+  // version-1 entry stays, and the purge counts as evictions.
+  cache.PurgeBefore(1);
+  QueryCacheStats s = cache.Stats();
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.resident_bytes, current.prepared->resident_bytes);
+  EXPECT_EQ(parent.used(), s.resident_bytes);
+  EXPECT_EQ(s.evictions, 2u);
+
+  // The held version-0 lease still searches.
+  EXPECT_EQ(RunLease(held, data), ColdEmbeddings(triangle, data));
+
+  // A late lookup at the retired version builds for its caller but is not
+  // retained; the current version still hits.
+  QueryCache::Lease late = cache.Acquire(path, data, {}, 0);
+  ASSERT_NE(late.prepared, nullptr);
+  EXPECT_EQ(late.outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.Stats().entries, 1u);
+  EXPECT_EQ(cache.Acquire(triangle, data, {}, 1).outcome, CacheOutcome::kHit);
+
+  s = cache.Stats();
+  EXPECT_EQ(s.hits + s.misses + s.coalesced, s.lookups);
+  EXPECT_EQ(s.insert_failures, 0u);
+}
+
 }  // namespace
 }  // namespace daf::service

@@ -69,10 +69,10 @@ TEST_F(TopoTest, DualSocketDenseRemap) {
   ASSERT_TRUE(topo.from_sysfs);
   EXPECT_EQ(topo.num_sockets, 2u);
   EXPECT_EQ(topo.num_cores, 4u);
-  EXPECT_EQ(topo.SocketOfCpu(0), 0u);
-  EXPECT_EQ(topo.SocketOfCpu(1), 0u);
-  EXPECT_EQ(topo.SocketOfCpu(2), 1u);
-  EXPECT_EQ(topo.SocketOfCpu(3), 1u);
+  EXPECT_EQ(topo.cpus[0].socket, 0u);
+  EXPECT_EQ(topo.cpus[1].socket, 0u);
+  EXPECT_EQ(topo.cpus[2].socket, 1u);
+  EXPECT_EQ(topo.cpus[3].socket, 1u);
   // (package 3, core 0) and (package 7, core 0) are distinct cores.
   EXPECT_NE(topo.cpus[0].core, topo.cpus[2].core);
 }
@@ -145,7 +145,6 @@ TEST(TopoFlatTest, FlatShapes) {
   EXPECT_EQ(topo.num_cores, 3u);
   EXPECT_EQ(topo.cpus.size(), 3u);
   EXPECT_EQ(HwTopology::Flat(0).cpus.size(), 1u);  // clamped
-  EXPECT_EQ(topo.SocketOfCpu(999), 0u);            // unknown id -> socket 0
 }
 
 TEST(TopoGetTest, MachineTopologyIsSane) {
@@ -170,16 +169,12 @@ TEST_F(TopoTest, MakePinPlanAssignsAndWraps) {
   EXPECT_EQ(plan.cpu[2], 2);
   EXPECT_EQ(plan.cpu[3], 3);
   EXPECT_EQ(plan.cpu[4], 0);
-  EXPECT_EQ(plan.socket[0], 0u);
-  EXPECT_EQ(plan.socket[1], 0u);
-  EXPECT_EQ(plan.socket[2], 1u);
-  EXPECT_EQ(plan.socket[3], 1u);
 
   // Disabled pinning and single-cpu topologies are inactive but still
-  // sized (schedulers consume plan.socket unconditionally).
+  // sized, with every worker unpinned.
   const PinPlan off = MakePinPlan(topo, 4, /*pin=*/false);
   EXPECT_FALSE(off.active);
-  EXPECT_EQ(off.socket, std::vector<uint32_t>(4, 0));
+  EXPECT_EQ(off.cpu, std::vector<int>(4, -1));
   const PinPlan single = MakePinPlan(HwTopology::Flat(1), 4, /*pin=*/true);
   EXPECT_FALSE(single.active);
 }
