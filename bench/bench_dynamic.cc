@@ -20,9 +20,10 @@
 // With --persist the benchmark instead measures the durability tax: the
 // same batch stream is applied to four otherwise identical services — no
 // store, and a DurableStore under each fsync policy (off / interval /
-// every) — and the report records per-batch apply latency for each plus
-// the overhead ratio vs the in-memory baseline. The smoke gate for this
-// mode requires the fsync-off WAL overhead to stay under 10%.
+// every) — interleaved batch by batch, and the report records per-batch
+// apply latency for each plus the overhead ratio vs the in-memory
+// baseline. The smoke gate for this mode requires the fsync-off WAL
+// overhead to stay under 10%.
 //
 //   $ ./bench/bench_dynamic                  # 50 batches, 100k edges
 //   $ ./bench/bench_dynamic --smoke          # CI gate: p50 speedup >= 5x
@@ -136,51 +137,26 @@ struct PersistMode {
   persist::FsyncPolicy policy = persist::FsyncPolicy::kOff;
 };
 
-/// Applies the deterministic batch stream to a service configured per
-/// `mode`, returning per-batch ApplyUpdates latencies. Every mode sees the
-/// identical stream (same seed, same initial graph), so the latency delta
-/// is purely the durability tax.
-std::vector<double> RunPersistMode(const Graph& data, const PersistMode& mode,
-                                   int64_t batches, int64_t batch_edges,
-                                   uint64_t seed, uint64_t* wal_bytes) {
-  TempStoreDir dir;
+/// A service configured per `mode` over a copy of `data`, its store (if
+/// any) in `dir`. Null when the store cannot be opened.
+std::unique_ptr<service::MatchService> OpenPersistService(
+    const Graph& data, const PersistMode& mode, const std::string& dir) {
   service::ServiceOptions options;
   options.num_workers = 1;
   if (mode.durable) {
     persist::DurableStore::Options store_options;
     store_options.fsync_policy = mode.policy;
     std::string error;
-    auto store = persist::DurableStore::Open(dir.path, store_options, &error);
+    auto store = persist::DurableStore::Open(dir, store_options, &error);
     if (store == nullptr) {
       std::fprintf(stderr, "persist bench: cannot open store: %s\n",
                    error.c_str());
-      return {};
+      return nullptr;
     }
     options.data_store = std::move(store);
   }
   Graph copy = data;
-  service::MatchService service(std::move(copy), options);
-
-  Rng rng(seed);
-  std::vector<double> samples;
-  std::shared_ptr<const Graph> snapshot = service.Snapshot();
-  for (int64_t round = 0; round < batches; ++round) {
-    dyn::UpdateBatch batch =
-        MakeBatch(*snapshot, static_cast<uint64_t>(batch_edges), rng);
-    Stopwatch timer;
-    service::UpdateOutcome out = service.ApplyUpdates(batch);
-    samples.push_back(timer.ElapsedMs());
-    if (!out.ok) {
-      std::fprintf(stderr, "persist bench (%s): batch %lld rejected: %s\n",
-                   mode.name, static_cast<long long>(round),
-                   out.error.c_str());
-      return {};
-    }
-    snapshot = service.Snapshot();
-  }
-  *wal_bytes = service.Metrics().persist_wal_bytes;
-  service.GracefulShutdown(/*grace_ms=*/2000);
-  return samples;
+  return std::make_unique<service::MatchService>(std::move(copy), options);
 }
 
 /// The --persist benchmark: durability tax per fsync policy.
@@ -192,14 +168,47 @@ int RunPersistBench(const Graph& data, int64_t batches, int64_t batch_edges,
       {"interval", true, persist::FsyncPolicy::kInterval},
       {"every", true, persist::FsyncPolicy::kEveryBatch},
   };
+  // Declared before the services, so each store closes before its
+  // directory is removed.
+  TempStoreDir dirs[4];
+  std::unique_ptr<service::MatchService> services[4];
+  for (int i = 0; i < 4; ++i) {
+    services[i] = OpenPersistService(data, modes[i], dirs[i].path);
+    if (services[i] == nullptr) return 1;
+  }
+
+  // Every service applies the identical batch stream, one batch each in
+  // turn, so host drift during the run hits all modes alike instead of
+  // deciding the comparison. The gated pair (none, off) alternates which
+  // of the two applies first. Each service's snapshot is materialized
+  // after its apply and held across the next one, the same for every mode.
+  std::vector<double> samples[4];
+  std::shared_ptr<const Graph> snapshots[4];
+  for (int i = 0; i < 4; ++i) snapshots[i] = services[i]->Snapshot();
+  Rng rng(seed);
+  for (int64_t round = 0; round < batches; ++round) {
+    const dyn::UpdateBatch batch =
+        MakeBatch(*snapshots[0], static_cast<uint64_t>(batch_edges), rng);
+    const int first = static_cast<int>(round % 2);
+    for (int i : {first, 1 - first, 2, 3}) {
+      Stopwatch timer;
+      service::UpdateOutcome out = services[i]->ApplyUpdates(batch);
+      samples[i].push_back(timer.ElapsedMs());
+      if (!out.ok) {
+        std::fprintf(stderr, "persist bench (%s): batch %lld rejected: %s\n",
+                     modes[i].name, static_cast<long long>(round),
+                     out.error.c_str());
+        return 1;
+      }
+      snapshots[i] = services[i]->Snapshot();
+    }
+  }
   LatencySummary summaries[4];
   uint64_t wal_bytes[4] = {0, 0, 0, 0};
   for (int i = 0; i < 4; ++i) {
-    std::fprintf(stderr, "persist mode %s...\n", modes[i].name);
-    std::vector<double> samples = RunPersistMode(
-        data, modes[i], batches, batch_edges, seed, &wal_bytes[i]);
-    if (samples.empty()) return 1;
-    summaries[i] = Summarize(std::move(samples));
+    wal_bytes[i] = services[i]->Metrics().persist_wal_bytes;
+    services[i]->GracefulShutdown(/*grace_ms=*/2000);
+    summaries[i] = Summarize(std::move(samples[i]));
   }
   const double base_p50 = summaries[0].p50;
   auto overhead = [&](int i) {

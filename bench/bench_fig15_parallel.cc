@@ -54,7 +54,7 @@ int Run(int argc, char** argv) {
             opts.limit = static_cast<uint64_t>(common.k);
             opts.time_limit_ms = static_cast<uint64_t>(common.timeout_ms);
             opts.parallel_strategy = strategy;
-            ParallelMatchResult r = ParallelDafMatch(q, data, opts, threads);
+            MatchResult r = ParallelDafMatch(q, data, opts, threads);
             if (!r.ok || r.timed_out) continue;
             ++solved;
             total_ms += r.preprocess_ms + r.search_ms;

@@ -1,7 +1,9 @@
 // Regenerates Figure 16 (Appendix A.4): speedup of the parallelized DAF
 // when finding ALL embeddings (k = infinity) of size-6 queries on Human, so
 // the total work is identical for every thread count, comparing the paper's
-// root-cursor partitioning against the work-stealing engine. A synthetic
+// root-cursor partitioning against the work-stealing engine. Both run on
+// the engine's one task scheduler: the root cursor seeds one unsplittable
+// task per root candidate, work stealing one splittable task. A synthetic
 // *skewed* workload is added on top: a data graph with two root candidates
 // whose subtrees differ by orders of magnitude — the shape where
 // partitioning only the root's candidates (Appendix A.4) plateaus, because
@@ -12,7 +14,8 @@
 // work split and the load-imbalance metric max/mean per-thread recursive
 // calls (1.00 = perfect balance, `threads` = fully serialized) show the
 // load balance that produces the paper's 12.7x at 16 threads on a 16-core
-// machine. See EXPERIMENTS.md, substitution 4.
+// machine. See EXPERIMENTS.md, substitution 4. Workers are not pinned to
+// cpus (docs/PERFORMANCE.md §10).
 //
 // `--smoke` shrinks everything to a token run (CI: does the harness still
 // execute end to end?). Results are also recorded to BENCH_fig16.json
@@ -161,10 +164,7 @@ int Run(int argc, char** argv) {
           opts.limit = 0;  // all embeddings: equal work at any thread count
           opts.time_limit_ms = static_cast<uint64_t>(common.timeout_ms) * 5;
           opts.parallel_strategy = strategy;
-          // Pin workers socket-major: the speedup curves are what pinning
-          // exists for (no-op on single-cpu hosts).
-          opts.pin_workers = true;
-          ParallelMatchResult r = ParallelDafMatch(q, data, opts, threads);
+          MatchResult r = ParallelDafMatch(q, data, opts, threads);
           if (!r.ok || r.timed_out) continue;
           ++solved;
           total_ms += r.preprocess_ms + r.search_ms;
@@ -214,9 +214,7 @@ int Run(int argc, char** argv) {
       opts.limit = 0;
       opts.time_limit_ms = static_cast<uint64_t>(common.timeout_ms) * 5;
       opts.parallel_strategy = strategy;
-      opts.pin_workers = true;
-      ParallelMatchResult r =
-          ParallelDafMatch(skew_query, skew_data, opts, threads);
+      MatchResult r = ParallelDafMatch(skew_query, skew_data, opts, threads);
       if (!r.ok || r.timed_out) continue;
       uint64_t max_thread_calls = 0;
       uint64_t min_thread_calls = ~0ull;

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   daf::MatchOptions options;
   options.limit = static_cast<uint64_t>(k);
   options.time_limit_ms = 30000;
-  daf::ParallelMatchResult result = daf::ParallelDafMatch(
+  daf::MatchResult result = daf::ParallelDafMatch(
       pattern, network, options, static_cast<uint32_t>(threads));
   if (!result.ok) {
     std::fprintf(stderr, "match failed: %s\n", result.error.c_str());

@@ -44,6 +44,7 @@ void Backtracker::InitRun(const BacktrackOptions& options) {
   stats_ = BacktrackStats{};
   stop_ = false;
   scheduler_ = options.scheduler;
+  splitting_ = scheduler_ != nullptr && scheduler_->split_threshold() != 0;
   stop_condition_ =
       StopCondition(options.deadline, options.cancel, options.budget);
   stop_armed_ = stop_condition_.armed() ||
@@ -154,7 +155,7 @@ void Backtracker::TryDonate() {
     stop_ = true;
     return;
   }
-  const uint32_t threshold = std::max(options_.split_threshold, 1u);
+  const uint32_t threshold = scheduler_->split_threshold();
   for (SearchFrame& frame : frames_) {
     const uint32_t remaining = frame.end - frame.next;
     if (remaining < threshold) continue;
@@ -342,7 +343,7 @@ void Backtracker::Map(VertexId u, uint32_t cand_idx) {
   // mapped_by_ backs the injectivity (conflict) checks only; homomorphism
   // runs allow several query vertices on one data vertex.
   if (options_.injective) mapped_by_[v] = u;
-  if (scheduler_ != nullptr) map_stack_.push_back(u);
+  if (splitting_) map_stack_.push_back(u);
   for (VertexId c : dag_.Children(u)) {
     if (++num_mapped_parents_[c] ==
         static_cast<uint32_t>(dag_.Parents(c).size())) {
@@ -363,7 +364,7 @@ void Backtracker::Unmap(VertexId u) {
       extendable_list_.pop_back();
     }
   }
-  if (scheduler_ != nullptr) map_stack_.pop_back();
+  if (splitting_) map_stack_.pop_back();
   if (options_.injective) mapped_by_[mapped_vertex_[u]] = kInvalidVertex;
   mapped_vertex_[u] = kInvalidVertex;
   mapped_cand_idx_[u] = kNotMapped;
@@ -411,26 +412,20 @@ void Backtracker::EnumerateCandidates(VertexId u, uint32_t depth,
   std::vector<FailedClass>& failed = failed_classes_[depth];
   if (boost) failed.clear();
 
-  const bool at_root = (depth == 0 && options_.root_cursor != nullptr);
-  const bool stealing = scheduler_ != nullptr;
   size_t frame_index = 0;
-  if (stealing) {
+  if (splitting_) {
     frame_index = frames_.size();
     frames_.push_back(SearchFrame{u, depth, begin, end, false});
   }
   uint32_t pos = begin;
   // Case 2.1: a child's failing set excluded u, so the remaining siblings
-  // (claimed, donated, or root-cursor-pending) are all redundant and the
-  // child's certificate propagates as this node's.
+  // (claimed or donated) are all redundant and the child's certificate
+  // propagates as this node's.
   bool pruned_rest = false;
   while (true) {
     uint32_t list_index;
     uint32_t range_end = end;
-    if (at_root) {
-      list_index = options_.root_cursor->fetch_add(1);
-      range_end = static_cast<uint32_t>(cands.size());
-      if (list_index >= range_end) break;
-    } else if (stealing) {
+    if (splitting_) {
       if (scheduler_->WantsWork()) TryDonate();
       SearchFrame& frame = frames_[frame_index];
       range_end = frame.end;  // donation may have moved it down
@@ -525,7 +520,7 @@ void Backtracker::EnumerateCandidates(VertexId u, uint32_t depth,
   }
 
   bool donated = false;
-  if (stealing) {
+  if (splitting_) {
     donated = frames_[frame_index].donated;
     frames_.pop_back();
   }

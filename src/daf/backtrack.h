@@ -36,8 +36,8 @@ enum class ParallelStrategy {
   /// workers take the shallowest pending candidate range of a busy victim,
   /// so one skewed root subtree no longer serializes the run.
   kWorkStealing,
-  /// The paper's Appendix A.4 scheme: an atomic cursor over the root's
-  /// candidates only (kept as an ablation/regression baseline).
+  /// The paper's Appendix A.4 scheme: only the root's candidates are
+  /// distributed, one unsplittable task each (kept as an ablation baseline).
   kRootCursor,
 };
 
@@ -70,21 +70,12 @@ struct BacktrackOptions {
   /// Shared embedding counter for multi-threaded runs (not owned). When
   /// set, `limit` applies to the shared total, as in Appendix A.4.
   std::atomic<uint64_t>* shared_count = nullptr;
-  /// Cursor over the root's candidates for multi-threaded kRootCursor runs
-  /// (not owned). When null the backtracker scans all root candidates.
-  std::atomic<uint32_t>* root_cursor = nullptr;
-  /// Work-stealing scheduler for multi-threaded kWorkStealing runs (not
-  /// owned; mutually exclusive with root_cursor). When set, drive the
-  /// search through RunWorker instead of Run: the backtracker executes
-  /// SubtreeTasks from the scheduler and, whenever another worker is
-  /// hungry, donates the shallowest splittable candidate range of its own
-  /// open frames.
+  /// Task scheduler for multi-threaded runs (not owned). When set, drive
+  /// the search through RunWorker instead of Run: the backtracker executes
+  /// SubtreeTasks from the scheduler and, when the scheduler allows
+  /// splitting and another worker is hungry, donates the shallowest
+  /// splittable candidate range of its own open frames.
   StealScheduler* scheduler = nullptr;
-  /// Minimum number of unclaimed sibling candidates an open frame needs to
-  /// be splittable (clamped to >= 1). 1 donates maximally eagerly — the
-  /// forced-steal stress configuration; larger values avoid shipping
-  /// near-empty ranges.
-  uint32_t split_threshold = 8;
   /// Data-vertex equivalence classes; when set, enables the DAF-Boost
   /// failure-skipping rule (Appendix A.5). Not owned.
   const VertexEquivalence* equivalence = nullptr;
@@ -156,7 +147,7 @@ class Backtracker {
   void Recurse(uint32_t depth);
   /// The sibling loop of Algorithm 2 over candidates [begin, end) of
   /// extendable vertex u at `depth`: conflict/boost/failing-set handling,
-  /// plus (work-stealing) frame tracking and range donation.
+  /// plus (when splitting) frame tracking and range donation.
   void EnumerateCandidates(VertexId u, uint32_t depth, uint32_t begin,
                            uint32_t end);
   /// Installs a task's prefix, enumerates its range, and unwinds.
@@ -220,10 +211,13 @@ class Backtracker {
   std::vector<VertexId>& embedding_buffer_;
   // Kernel-selection counters of this run; flushed into profile_ when set.
   IntersectStats intersect_stats_;
-  // Work-stealing bookkeeping (only touched when scheduler_ is set).
+  // Work-stealing bookkeeping (only touched when splitting_).
   std::vector<VertexId>& map_stack_;
   std::vector<SearchFrame>& frames_;
   StealScheduler* scheduler_ = nullptr;
+  // The scheduler splits open frames for hungry workers (a split threshold
+  // of 0 runs its seeded tasks whole).
+  bool splitting_ = false;
   // Deadline + cancellation folded into one sampled predicate (util/stop.h);
   // stop_armed_ caches whether the countdown needs to run at all.
   StopCondition stop_condition_;

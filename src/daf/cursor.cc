@@ -52,8 +52,8 @@ void EmbeddingCursor::Start(const Graph& query,
   // cache-evicted entry alive for the whole stream.
   producer_ = std::thread([this, &query, prepared = std::move(prepared),
                            &data, producer_options, channel, context] {
-    MatchResult result = internal::RunMatch<MatchResult>(
-        query, prepared.get(), data, producer_options, 1, context);
+    MatchResult result = internal::RunMatch(query, prepared.get(), data,
+                                            producer_options, 1, context);
     {
       std::lock_guard<std::mutex> lock(channel->mutex);
       channel->finished = true;

@@ -7,22 +7,19 @@ namespace daf {
 
 MatchResult DafMatch(const Graph& query, const Graph& data,
                      const MatchOptions& options) {
-  return internal::RunMatch<MatchResult>(query, nullptr, data, options, 1,
-                                         nullptr);
+  return internal::RunMatch(query, nullptr, data, options, 1, nullptr);
 }
 
 MatchResult DafMatch(const Graph& query, const Graph& data,
                      const MatchOptions& options, MatchContext* context) {
-  return internal::RunMatch<MatchResult>(query, nullptr, data, options, 1,
-                                         context);
+  return internal::RunMatch(query, nullptr, data, options, 1, context);
 }
 
-ParallelMatchResult ParallelDafMatch(const Graph& query, const Graph& data,
-                                     const MatchOptions& options,
-                                     uint32_t num_threads,
-                                     MatchContext* context) {
-  return internal::RunMatch<ParallelMatchResult>(query, nullptr, data, options,
-                                                 num_threads, context);
+MatchResult ParallelDafMatch(const Graph& query, const Graph& data,
+                             const MatchOptions& options, uint32_t num_threads,
+                             MatchContext* context) {
+  return internal::RunMatch(query, nullptr, data, options, num_threads,
+                            context);
 }
 
 uint64_t CountAutomorphisms(const Graph& g) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "daf/backtrack.h"
 #include "daf/match_context.h"
@@ -57,9 +58,6 @@ struct MatchOptions {
   /// donation (kWorkStealing only; clamped to >= 1). 1 forces maximal
   /// splitting — the stress-test configuration.
   uint32_t split_threshold = 8;
-  /// Pin parallel workers to cpus (socket-major, physical cores first; see
-  /// util/topo.h). No-op for single-threaded runs and on single-cpu hosts.
-  bool pin_workers = false;
   /// Optional per-embedding callback.
   EmbeddingCallback callback;
   /// Opt-in search profile (not owned): stage timers, CS prune counts,
@@ -102,6 +100,22 @@ struct MatchResult {
   double search_ms = 0;      // backtracking
   uint64_t cs_candidates = 0;  // Σ_u |C(u)| (Figure 9 metric)
   uint64_t cs_edges = 0;
+
+  /// Search workers and their split of the work; filled whenever the search
+  /// ran (all zero on an early exit). One thread reports threads_used = 1,
+  /// per_thread_calls = {recursive_calls}, call_imbalance = 1 and no tasks.
+  uint32_t threads_used = 0;
+  /// Recursive calls performed by each thread (load-balance diagnostics);
+  /// they sum to `recursive_calls`.
+  std::vector<uint64_t> per_thread_calls;
+  // Task scheduler counters of multi-threaded runs.
+  uint64_t tasks_executed = 0;  // subtree tasks run (seeded + donated)
+  uint64_t steals = 0;          // tasks taken from another worker
+  uint64_t donations = 0;       // candidate ranges split off for thieves
+  double idle_ms = 0;           // summed time workers spent out of work
+  /// max/mean per-thread recursive calls: 1.0 = perfect balance,
+  /// `threads_used` = one worker did everything.
+  double call_imbalance = 0;
 
   /// True iff the search ran to completion (all embeddings enumerated):
   /// not stopped by the limit, the deadline, a cancel request, or memory

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "daf/backtrack.h"
@@ -13,7 +12,6 @@
 #include "daf/query_dag.h"
 #include "daf/steal.h"
 #include "daf/weights.h"
-#include "util/topo.h"
 
 namespace daf::internal {
 
@@ -100,46 +98,50 @@ void AddStats(const BacktrackStats& stats, MatchResult* result) {
 
 // The search stage over `prepared` with `num_threads` workers. One thread
 // runs the Backtracker inline on the calling thread. More threads run
-// subtree tasks from a shared StealScheduler (kWorkStealing) or claim root
-// candidates through an atomic cursor (kRootCursor); a shared counter
-// enforces the limit across workers, and the callback and progress hook run
-// under one mutex. Per-thread diagnostics reach the profile and, when
-// Result is ParallelMatchResult, the result.
-template <class Result>
+// subtree tasks from one StealScheduler: under kWorkStealing a single seed
+// task whose ranges busy workers split for idle ones; under kRootCursor one
+// task per candidate of the DAG root, with splitting off (Appendix A.4). A
+// shared counter enforces the limit across workers, and the callback and
+// progress hook run under one mutex. Per-thread diagnostics reach the result
+// and the profile.
 void Search(const Graph& query, const PreparedQuery& prepared,
             const Graph& data, const MatchOptions& options,
             const RunStop& stop, uint32_t num_threads, MatchContext* context,
-            Result* result) {
-  constexpr bool kParallelResult =
-      std::is_same_v<Result, ParallelMatchResult>;
+            MatchResult* result) {
   obs::SearchProfile* profile = options.profile;
   const WeightArray* weights =
       options.order == MatchOrder::kPathSize ? &prepared.weights : nullptr;
   BacktrackOptions shared = ToBacktrackOptions(options, stop);
+  result->threads_used = num_threads;
   if (num_threads == 1) {
     Backtracker backtracker(query, prepared.dag, prepared.cs, weights,
                             data.NumVertices(), &context->backtrack_scratch(0));
     if (profile != nullptr) shared.profile = &profile->backtrack;
     AddStats(backtracker.Run(shared), result);
-    if constexpr (kParallelResult) {
-      result->threads_used = 1;
-      result->per_thread_calls.assign(1, result->recursive_calls);
-      result->call_imbalance = result->recursive_calls > 0 ? 1.0 : 0.0;
-    }
+    result->per_thread_calls.assign(1, result->recursive_calls);
+    result->call_imbalance = result->recursive_calls > 0 ? 1.0 : 0.0;
     return;
   }
 
-  const bool stealing =
-      options.parallel_strategy == ParallelStrategy::kWorkStealing;
-  // pin_workers assigns each worker a cpu in PinOrder (socket-major,
-  // physical cores first); inactive (and free) on single-cpu hosts.
-  const PinPlan pin_plan =
-      MakePinPlan(HwTopology::Get(), num_threads, options.pin_workers);
+  const bool root_tasks =
+      options.parallel_strategy == ParallelStrategy::kRootCursor;
+  StealScheduler scheduler(
+      num_threads, root_tasks ? 0 : std::max(options.split_threshold, 1u));
+  if (root_tasks) {
+    // Appendix A.4: only line 4 of Algorithm 2 runs in parallel, one
+    // unsplittable task per candidate of the DAG root.
+    const VertexId root = prepared.dag.root();
+    for (uint32_t i = 0; i < prepared.cs.NumCandidates(root); ++i) {
+      scheduler.Seed(SubtreeTask{{}, root, i, i + 1});
+    }
+  } else {
+    // The seed task (no prefix, no pinned range) makes whichever worker
+    // grabs it first start a full search; everyone else feeds on donations.
+    scheduler.Seed(SubtreeTask{});
+  }
   std::atomic<uint64_t> shared_count{0};
-  std::atomic<uint32_t> root_cursor{0};
-  std::optional<StealScheduler> scheduler;
   std::mutex callback_mutex;
-
+  shared.scheduler = &scheduler;
   shared.shared_count = &shared_count;
   if (options.callback) {
     shared.callback = [&](std::span<const VertexId> embedding) {
@@ -152,16 +154,6 @@ void Search(const Graph& query, const PreparedQuery& prepared,
       std::lock_guard<std::mutex> lock(callback_mutex);
       options.progress(snapshot);
     };
-  }
-  if (stealing) {
-    scheduler.emplace(num_threads, options.split_threshold);
-    // The seed task (no prefix, no pinned range) makes whichever worker
-    // grabs it first start a full search; everyone else feeds on donations.
-    scheduler->Seed(SubtreeTask{});
-    shared.scheduler = &*scheduler;
-    shared.split_threshold = options.split_threshold;
-  } else {
-    shared.root_cursor = &root_cursor;
   }
 
   // One profile per worker; merged below so parallel runs report both the
@@ -176,56 +168,48 @@ void Search(const Graph& query, const PreparedQuery& prepared,
   context->EnsureThreads(num_threads);
   for (uint32_t t = 0; t < num_threads; ++t) {
     workers.emplace_back([&, t]() {
-      if (pin_plan.active) PinCurrentThreadToCpu(pin_plan.cpu[t]);
       Backtracker backtracker(query, prepared.dag, prepared.cs, weights,
                               data.NumVertices(),
                               &context->backtrack_scratch(t));
       BacktrackOptions bt = shared;
       bt.thread_id = t;
       if (profile != nullptr) bt.profile = &thread_profiles[t];
-      stats[t] = stealing ? backtracker.RunWorker(bt) : backtracker.Run(bt);
+      stats[t] = backtracker.RunWorker(bt);
     });
   }
   for (std::thread& w : workers) w.join();
 
-  obs::ParallelProfile par;
-  par.pinned = pin_plan.active;
-  par.per_thread_calls.resize(num_threads);
-  par.per_thread_steals.assign(num_threads, 0);
+  std::vector<uint64_t> per_thread_steals(num_threads);
+  result->per_thread_calls.resize(num_threads);
   uint64_t max_calls = 0;
   for (uint32_t t = 0; t < num_threads; ++t) {
     AddStats(stats[t], result);
-    par.per_thread_calls[t] = stats[t].recursive_calls;
+    result->per_thread_calls[t] = stats[t].recursive_calls;
     max_calls = std::max(max_calls, stats[t].recursive_calls);
-    if (scheduler) {
-      const StealWorkerStats& ws = scheduler->worker_stats(t);
-      par.tasks_executed += ws.tasks_executed;
-      par.steals += ws.steals;
-      par.donations += ws.donations;
-      par.idle_ms += ws.idle_ms;
-      par.per_thread_steals[t] = ws.steals;
-    }
+    const StealWorkerStats& ws = scheduler.worker_stats(t);
+    result->tasks_executed += ws.tasks_executed;
+    result->steals += ws.steals;
+    result->donations += ws.donations;
+    result->idle_ms += ws.idle_ms;
+    per_thread_steals[t] = ws.steals;
   }
   if (result->recursive_calls > 0) {
-    par.call_imbalance = static_cast<double>(max_calls) * num_threads /
-                         static_cast<double>(result->recursive_calls);
-  }
-  if constexpr (kParallelResult) {
-    result->threads_used = num_threads;
-    result->per_thread_calls = par.per_thread_calls;
-    result->tasks_executed = par.tasks_executed;
-    result->steals = par.steals;
-    result->donations = par.donations;
-    result->idle_ms = par.idle_ms;
-    result->pinned = par.pinned;
-    result->call_imbalance = par.call_imbalance;
+    result->call_imbalance = static_cast<double>(max_calls) * num_threads /
+                             static_cast<double>(result->recursive_calls);
   }
   if (profile != nullptr) {
     for (const obs::BacktrackProfile& tp : thread_profiles) {
       profile->backtrack.MergeFrom(tp);
     }
     profile->thread_profiles = std::move(thread_profiles);
-    profile->parallel = std::move(par);
+    obs::ParallelProfile& par = profile->parallel;
+    par.tasks_executed = result->tasks_executed;
+    par.steals = result->steals;
+    par.donations = result->donations;
+    par.idle_ms = result->idle_ms;
+    par.call_imbalance = result->call_imbalance;
+    par.per_thread_calls = result->per_thread_calls;
+    par.per_thread_steals = std::move(per_thread_steals);
   }
 }
 
@@ -282,11 +266,10 @@ StopCause Prepare(const Graph& query, const Graph& data,
   return StopCause::kNone;
 }
 
-template <class Result>
-Result RunMatch(const Graph& query, const PreparedQuery* blob,
-                const Graph& data, const MatchOptions& options,
-                uint32_t num_threads, MatchContext* context) {
-  Result result;
+MatchResult RunMatch(const Graph& query, const PreparedQuery* blob,
+                     const Graph& data, const MatchOptions& options,
+                     uint32_t num_threads, MatchContext* context) {
+  MatchResult result;
   if (blob == nullptr && query.NumVertices() == 0) {
     result.ok = false;
     result.error = "empty query graph";
@@ -348,12 +331,5 @@ Result RunMatch(const Graph& query, const PreparedQuery* blob,
   FillMemoryProfile(profile, arena_owner, budget);
   return result;
 }
-
-template MatchResult RunMatch<MatchResult>(const Graph&, const PreparedQuery*,
-                                           const Graph&, const MatchOptions&,
-                                           uint32_t, MatchContext*);
-template ParallelMatchResult RunMatch<ParallelMatchResult>(
-    const Graph&, const PreparedQuery*, const Graph&, const MatchOptions&,
-    uint32_t, MatchContext*);
 
 }  // namespace daf::internal

@@ -14,7 +14,6 @@
 #include <cstdint>
 
 #include "daf/engine.h"
-#include "daf/parallel.h"
 #include "daf/prepared.h"
 #include "util/stop.h"
 #include "util/timer.h"
@@ -52,20 +51,10 @@ StopCause Prepare(const Graph& query, const Graph& data,
 /// The whole pipeline: Prepare `query` into the context arena (skipped
 /// when `blob` is given — the search then runs over `blob->query`), then
 /// Search with `num_threads` workers. One thread runs inline on the calling
-/// thread. `context` may be null (a private one is used). Result is
-/// MatchResult or ParallelMatchResult; only the latter reports per-thread
-/// diagnostics and may use more than one thread.
-template <class Result>
-Result RunMatch(const Graph& query, const PreparedQuery* blob,
-                const Graph& data, const MatchOptions& options,
-                uint32_t num_threads, MatchContext* context);
-
-extern template MatchResult RunMatch<MatchResult>(
-    const Graph&, const PreparedQuery*, const Graph&, const MatchOptions&,
-    uint32_t, MatchContext*);
-extern template ParallelMatchResult RunMatch<ParallelMatchResult>(
-    const Graph&, const PreparedQuery*, const Graph&, const MatchOptions&,
-    uint32_t, MatchContext*);
+/// thread. `context` may be null (a private one is used).
+MatchResult RunMatch(const Graph& query, const PreparedQuery* blob,
+                     const Graph& data, const MatchOptions& options,
+                     uint32_t num_threads, MatchContext* context);
 
 }  // namespace daf::internal
 

@@ -60,17 +60,17 @@ PrepareOutcome PrepareQuery(const Graph& query, const Graph& data,
 MatchResult DafMatchPrepared(const PreparedQuery& prepared, const Graph& data,
                              const MatchOptions& options,
                              MatchContext* context) {
-  return internal::RunMatch<MatchResult>(prepared.query, &prepared, data,
-                                         options, 1, context);
+  return internal::RunMatch(prepared.query, &prepared, data, options, 1,
+                            context);
 }
 
-ParallelMatchResult ParallelDafMatchPrepared(const PreparedQuery& prepared,
-                                             const Graph& data,
-                                             const MatchOptions& options,
-                                             uint32_t num_threads,
-                                             MatchContext* context) {
-  return internal::RunMatch<ParallelMatchResult>(
-      prepared.query, &prepared, data, options, num_threads, context);
+MatchResult ParallelDafMatchPrepared(const PreparedQuery& prepared,
+                                     const Graph& data,
+                                     const MatchOptions& options,
+                                     uint32_t num_threads,
+                                     MatchContext* context) {
+  return internal::RunMatch(prepared.query, &prepared, data, options,
+                            num_threads, context);
 }
 
 }  // namespace daf

@@ -76,11 +76,11 @@ MatchResult DafMatchPrepared(const PreparedQuery& prepared, const Graph& data,
                              MatchContext* context = nullptr);
 
 /// Parallel counterpart of DafMatchPrepared (see ParallelDafMatch).
-ParallelMatchResult ParallelDafMatchPrepared(const PreparedQuery& prepared,
-                                             const Graph& data,
-                                             const MatchOptions& options,
-                                             uint32_t num_threads,
-                                             MatchContext* context = nullptr);
+MatchResult ParallelDafMatchPrepared(const PreparedQuery& prepared,
+                                     const Graph& data,
+                                     const MatchOptions& options,
+                                     uint32_t num_threads,
+                                     MatchContext* context = nullptr);
 
 }  // namespace daf
 

@@ -6,7 +6,7 @@ namespace daf {
 
 StealScheduler::StealScheduler(uint32_t num_workers, uint32_t split_threshold)
     : slots_(num_workers == 0 ? 1 : num_workers),
-      split_threshold_(split_threshold == 0 ? 1 : split_threshold) {
+      split_threshold_(split_threshold) {
   const uint32_t n = static_cast<uint32_t>(slots_.size());
   steal_order_.resize(n);
   for (uint32_t thief = 0; thief < n; ++thief) {

@@ -21,9 +21,10 @@ namespace daf {
 /// deterministically rebuilds the extendable-candidate lists — and then
 /// enumerates indices [begin, end) of extendable_cands[u].
 ///
-/// The seed task of a run leaves `u` invalid with an empty prefix: the
-/// executor then selects the first extendable vertex itself and owns its
-/// full candidate range.
+/// The seed task of a work-stealing run leaves `u` invalid with an empty
+/// prefix: the executor then selects the first extendable vertex itself and
+/// owns its full candidate range. A root-cursor run instead seeds one task
+/// per candidate of the DAG root (empty prefix, a one-index range).
 struct SubtreeTask {
   std::vector<std::pair<VertexId, uint32_t>> prefix;
   VertexId u = kInvalidVertex;  // split vertex; invalid = seed task
@@ -60,13 +61,14 @@ class StealScheduler {
   /// `split_threshold` is the minimum number of unclaimed sibling
   /// candidates a frame must have to be splittable; 1 donates maximally
   /// eagerly (every pending candidate is up for grabs — the forced-steal
-  /// stress configuration).
+  /// stress configuration), and 0 turns splitting off: workers then only
+  /// run and steal the seeded tasks (the Appendix A.4 root cursor).
   StealScheduler(uint32_t num_workers, uint32_t split_threshold);
 
   StealScheduler(const StealScheduler&) = delete;
   StealScheduler& operator=(const StealScheduler&) = delete;
 
-  /// Enqueues the initial task (worker 0's deque). Call before workers run.
+  /// Enqueues an initial task (worker 0's deque). Call before workers run.
   void Seed(SubtreeTask task);
 
   /// True while some worker is hungry (more workers idle than tasks

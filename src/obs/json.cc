@@ -223,7 +223,6 @@ void WriteProfile(JsonWriter& w, const SearchProfile& profile) {
     w.Key("donations").Uint(par.donations);
     w.Key("idle_ms").Double(par.idle_ms);
     w.Key("call_imbalance").Double(par.call_imbalance);
-    w.Key("pinned").Bool(par.pinned);
     w.Key("per_thread_calls").BeginArray();
     for (uint64_t c : par.per_thread_calls) w.Uint(c);
     w.EndArray();

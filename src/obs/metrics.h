@@ -118,18 +118,17 @@ struct MemoryProfile {
   void Reset() { *this = MemoryProfile{}; }
 };
 
-/// Scheduler counters of one multi-threaded run (work-stealing engine;
-/// all-zero under the root-cursor strategy and in single-threaded runs).
-/// `call_imbalance` is max/mean recursive calls across workers — 1.0 is a
-/// perfect split, `threads` means one worker did all the work (the skew
-/// failure mode root-candidate partitioning cannot fix).
+/// Scheduler counters of one multi-threaded run (all-zero in
+/// single-threaded runs; root-cursor runs execute and steal seeded tasks
+/// but never donate). `call_imbalance` is max/mean recursive calls across
+/// workers — 1.0 is a perfect split, `threads` means one worker did all the
+/// work (the skew failure mode root-candidate partitioning cannot fix).
 struct ParallelProfile {
-  uint64_t tasks_executed = 0;  // subtree tasks run (seed + donations)
+  uint64_t tasks_executed = 0;  // subtree tasks run (seeded + donated)
   uint64_t steals = 0;          // tasks taken from another worker's deque
   uint64_t donations = 0;       // ranges split off for hungry workers
   double idle_ms = 0;           // summed worker time spent waiting for work
   double call_imbalance = 0;    // max/mean per-thread recursive calls
-  bool pinned = false;          // workers were pinned to cpus (PinPlan)
   std::vector<uint64_t> per_thread_calls;
   std::vector<uint64_t> per_thread_steals;
 

@@ -151,7 +151,8 @@ bool ReadSection(std::FILE* f, const std::vector<SectionEntry>& table,
     return Fail(error, std::string("seek to ") + name + " section failed");
   }
   out->resize(expected_elems);
-  if (!ReadExact(f, out->data(), e->length)) {
+  // An empty vector may have a null data(); fread must not see it.
+  if (e->length != 0 && !ReadExact(f, out->data(), e->length)) {
     return Fail(error, std::string(name) + " section truncated");
   }
   if (Crc32(out->data(), e->length) != e->crc) {
@@ -238,8 +239,11 @@ bool WriteSnapshot(const Graph& g, uint64_t graph_version,
     if (FAULT_POINT(snapshot_write)) {
       return abort_write("injected fault: snapshot_write");
     }
-    if (std::fwrite(p.data, 1, static_cast<size_t>(p.bytes), f.get()) !=
-        p.bytes) {
+    // An empty section (an empty graph's arrays) has no buffer to hand to
+    // fwrite, whose pointer argument must never be null.
+    if (p.bytes != 0 &&
+        std::fwrite(p.data, 1, static_cast<size_t>(p.bytes), f.get()) !=
+            p.bytes) {
       return abort_write("short write (section)");
     }
   }

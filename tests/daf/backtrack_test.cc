@@ -107,28 +107,6 @@ TEST(BacktrackTest, SharedCountLimitsAcrossRuns) {
   EXPECT_TRUE(stats.limit_reached);
 }
 
-TEST(BacktrackTest, RootCursorPartitionsWork) {
-  Graph data = MakeClique({0, 0, 0, 0, 0});
-  Graph query = MakeCycle({0, 0, 0});
-  Pipeline p(query, data);
-  // Two sequential "workers" sharing a cursor must partition the root
-  // candidates and together find all embeddings exactly once.
-  std::atomic<uint32_t> cursor{0};
-  std::atomic<uint64_t> shared{0};
-  EmbeddingSet all;
-  uint64_t total = 0;
-  for (int worker = 0; worker < 2; ++worker) {
-    Backtracker bt(query, p.dag, p.cs, &p.weights, data.NumVertices());
-    BacktrackOptions opts;
-    opts.root_cursor = &cursor;
-    opts.shared_count = &shared;
-    opts.callback = Collector(&all);
-    total += bt.Run(opts).embeddings;
-  }
-  EXPECT_EQ(total, 60u);
-  EXPECT_EQ(all.size(), 60u);  // no duplicates
-}
-
 TEST(BacktrackTest, LeafDecompositionDefersLeaves) {
   // Star query: center + 3 leaves. With leaf decomposition the center (the
   // only non-leaf) must be matched first — identical results either way.

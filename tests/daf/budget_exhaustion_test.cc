@@ -140,8 +140,7 @@ TEST_F(BudgetExhaustionTest, InjectedDonationFaultExhaustsParallelRun) {
     // attempt, but cap the enumeration in case stealing never triggers.
     return ++count_limit_guard < 2000000;
   };
-  ParallelMatchResult result =
-      ParallelDafMatch(HardQuery(), HardData(), options, 4);
+  MatchResult result = ParallelDafMatch(HardQuery(), HardData(), options, 4);
   EXPECT_TRUE(result.ok);
   EXPECT_TRUE(result.resource_exhausted);
   EXPECT_FALSE(result.Complete());

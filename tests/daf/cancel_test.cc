@@ -89,8 +89,7 @@ TEST(CancelTest, ParallelPreCancelledMatchesSequentialShape) {
   token.Cancel();
   MatchOptions options;
   options.cancel = &token;
-  ParallelMatchResult result =
-      ParallelDafMatch(HardQuery(), HardData(), options, 4);
+  MatchResult result = ParallelDafMatch(HardQuery(), HardData(), options, 4);
   EXPECT_TRUE(result.ok);
   EXPECT_TRUE(result.cancelled);
   EXPECT_FALSE(result.Complete());
@@ -107,8 +106,7 @@ TEST(CancelTest, ParallelCancelMidSearchStopsAllWorkers) {
     if (++seen == 100) token.Cancel();
     return true;
   };
-  ParallelMatchResult result =
-      ParallelDafMatch(HardQuery(), HardData(), options, 4);
+  MatchResult result = ParallelDafMatch(HardQuery(), HardData(), options, 4);
   EXPECT_TRUE(result.ok);
   EXPECT_TRUE(result.cancelled);
   EXPECT_FALSE(result.Complete());

@@ -131,12 +131,11 @@ TEST(MatchContextTest, ParallelRunReusesASharedContext) {
   ASSERT_TRUE(serial.ok);
 
   MatchContext context;
-  ParallelMatchResult first =
-      ParallelDafMatch(extracted->query, data, {}, 2, &context);
+  MatchResult first = ParallelDafMatch(extracted->query, data, {}, 2, &context);
   ASSERT_TRUE(first.ok);
   EXPECT_EQ(first.embeddings, serial.embeddings);
 
-  ParallelMatchResult second =
+  MatchResult second =
       ParallelDafMatch(extracted->query, data, {}, 2, &context);
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(second.embeddings, serial.embeddings);

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "daf/boost.h"
 #include "daf/parallel.h"
@@ -24,9 +28,9 @@ using daf::testing::EmbeddingSet;
 using daf::testing::MakeClique;
 using daf::testing::MakeCycle;
 
-ParallelMatchResult RunStealing(const Graph& query, const Graph& data,
-                                MatchOptions opts, uint32_t threads,
-                                uint32_t split_threshold) {
+MatchResult RunStealing(const Graph& query, const Graph& data,
+                        MatchOptions opts, uint32_t threads,
+                        uint32_t split_threshold) {
   opts.parallel_strategy = ParallelStrategy::kWorkStealing;
   opts.split_threshold = split_threshold;
   return ParallelDafMatch(query, data, opts, threads);
@@ -51,7 +55,7 @@ TEST(WorkStealTest, FullOptionMatrixMatchesSequential) {
           ASSERT_TRUE(sequential.ok);
           for (uint32_t threads : {2u, 4u}) {
             for (uint32_t threshold : {1u, 8u}) {
-              ParallelMatchResult r =
+              MatchResult r =
                   RunStealing(query, data, opts, threads, threshold);
               ASSERT_TRUE(r.ok);
               EXPECT_EQ(r.embeddings, sequential.embeddings)
@@ -80,8 +84,7 @@ TEST(WorkStealTest, ExactEmbeddingSetUnderForcedSplitting) {
   EmbeddingSet found;
   MatchOptions par;
   par.callback = Collector(&found);  // engine serializes the callback
-  ParallelMatchResult r = RunStealing(query, data, par, 4,
-                                      /*split_threshold=*/1);
+  MatchResult r = RunStealing(query, data, par, 4, /*split_threshold=*/1);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(found, expected);
   EXPECT_EQ(r.embeddings, expected.size());
@@ -99,7 +102,7 @@ TEST(WorkStealTest, BoostEquivalenceMatchesSequential) {
   MatchResult sequential = DafMatch(query, data, opts);
   ASSERT_TRUE(sequential.ok);
   for (uint32_t threshold : {1u, 8u}) {
-    ParallelMatchResult r = RunStealing(query, data, opts, 4, threshold);
+    MatchResult r = RunStealing(query, data, opts, 4, threshold);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.embeddings, sequential.embeddings)
         << "threshold=" << threshold;
@@ -115,8 +118,7 @@ TEST(WorkStealTest, ForcedStealStress) {
   MatchOptions opts;
   MatchResult sequential = DafMatch(query, data, opts);
   ASSERT_TRUE(sequential.ok);
-  ParallelMatchResult r = RunStealing(query, data, opts, 4,
-                                      /*split_threshold=*/1);
+  MatchResult r = RunStealing(query, data, opts, 4, /*split_threshold=*/1);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.embeddings, sequential.embeddings);
   // Stealing never prunes more than the sequential search (donated frames
@@ -141,8 +143,8 @@ TEST(WorkStealTest, WorkConservation) {
   MatchResult sequential = DafMatch(query, data, opts);
   ASSERT_TRUE(sequential.ok);
   for (uint32_t threads : {2u, 4u, 8u}) {
-    ParallelMatchResult r = RunStealing(query, data, opts, threads,
-                                        /*split_threshold=*/1);
+    MatchResult r = RunStealing(query, data, opts, threads,
+                                /*split_threshold=*/1);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.recursive_calls, sequential.recursive_calls)
         << "threads=" << threads;
@@ -157,8 +159,7 @@ TEST(WorkStealTest, ExactLimit) {
     for (uint32_t threshold : {1u, 8u}) {
       MatchOptions opts;
       opts.limit = 100;
-      ParallelMatchResult r = RunStealing(query, data, opts, threads,
-                                          threshold);
+      MatchResult r = RunStealing(query, data, opts, threads, threshold);
       ASSERT_TRUE(r.ok);
       EXPECT_TRUE(r.limit_reached);
       EXPECT_EQ(r.embeddings, 100u)
@@ -175,8 +176,7 @@ TEST(WorkStealTest, ExactLimitWithDeadlineArmed) {
   MatchOptions opts;
   opts.limit = 100;
   opts.time_limit_ms = 600000;
-  ParallelMatchResult r = RunStealing(query, data, opts, 4,
-                                      /*split_threshold=*/1);
+  MatchResult r = RunStealing(query, data, opts, 4, /*split_threshold=*/1);
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.limit_reached);
   EXPECT_FALSE(r.timed_out);
@@ -188,8 +188,7 @@ TEST(WorkStealTest, LimitAboveTotalFindsEverything) {
   Graph query = MakeCycle({0, 0, 0});  // 6*5*4 = 120 embeddings
   MatchOptions opts;
   opts.limit = 100000;
-  ParallelMatchResult r = RunStealing(query, data, opts, 4,
-                                      /*split_threshold=*/1);
+  MatchResult r = RunStealing(query, data, opts, 4, /*split_threshold=*/1);
   ASSERT_TRUE(r.ok);
   EXPECT_FALSE(r.limit_reached);
   EXPECT_EQ(r.embeddings, 120u);
@@ -209,8 +208,7 @@ TEST(WorkStealTest, CancelMidRun) {
     if (delivered.fetch_add(1) + 1 == 100) cancel.Cancel();
     return true;
   };
-  ParallelMatchResult r = RunStealing(query, data, opts, 4,
-                                      /*split_threshold=*/1);
+  MatchResult r = RunStealing(query, data, opts, 4, /*split_threshold=*/1);
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.cancelled);
   EXPECT_GE(r.embeddings, 100u);
@@ -224,8 +222,7 @@ TEST(WorkStealTest, CancelBeforeRun) {
   cancel.Cancel();
   MatchOptions opts;
   opts.cancel = &cancel;
-  ParallelMatchResult r = RunStealing(query, data, opts, 4,
-                                      /*split_threshold=*/1);
+  MatchResult r = RunStealing(query, data, opts, 4, /*split_threshold=*/1);
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.cancelled);
 }
@@ -235,8 +232,8 @@ TEST(WorkStealTest, SingleThreadFallsBackToSequentialEngine) {
   // kWorkStealing; results and the steal counters must reflect that.
   Graph data = MakeClique({0, 0, 0, 0, 0});
   Graph query = MakeCycle({0, 0, 0});
-  ParallelMatchResult r = RunStealing(query, data, MatchOptions{}, 1,
-                                      /*split_threshold=*/1);
+  MatchResult r = RunStealing(query, data, MatchOptions{}, 1,
+                              /*split_threshold=*/1);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.embeddings, 60u);
   EXPECT_EQ(r.tasks_executed, 0u);
@@ -257,12 +254,85 @@ TEST(WorkStealTest, StrategiesAgreeOnRandomGraphs) {
     steal_opts.split_threshold = 1;
     MatchOptions cursor_opts;
     cursor_opts.parallel_strategy = ParallelStrategy::kRootCursor;
-    ParallelMatchResult steal =
-        ParallelDafMatch(extracted->query, data, steal_opts, 4);
-    ParallelMatchResult cursor =
+    MatchResult steal = ParallelDafMatch(extracted->query, data, steal_opts, 4);
+    MatchResult cursor =
         ParallelDafMatch(extracted->query, data, cursor_opts, 4);
     ASSERT_TRUE(steal.ok && cursor.ok);
     EXPECT_EQ(steal.embeddings, cursor.embeddings) << "trial=" << trial;
+  }
+}
+
+// Every embedding the callback delivers, duplicates kept (the engine
+// serializes the callback).
+EmbeddingCallback Recorder(std::vector<std::vector<VertexId>>* out) {
+  return [out](std::span<const VertexId> embedding) {
+    out->emplace_back(embedding.begin(), embedding.end());
+    return true;
+  };
+}
+
+TEST(RootCursorTest, SeededRootTasksFindEachEmbeddingOnce) {
+  // kRootCursor runs one unsplittable task per root candidate through the
+  // shared scheduler. Each embedding must come out exactly once, complete
+  // or under an exact limit, whatever the thread count.
+  Rng rng(4242);
+  Graph data = daf::testing::RandomDataGraph(30, 90, 2, rng);
+  auto walk = ExtractRandomWalkQuery(data, 5, -1.0, rng);
+  ASSERT_TRUE(walk.has_value());
+  const std::vector<std::pair<const char*, Graph>> queries = {
+      {"connected", walk->query},
+      // An edge plus an isolated vertex: two DAG roots.
+      {"disconnected", Graph::FromEdges({0, 1, 0}, {{0, 1}})},
+  };
+  for (const auto& [name, query] : queries) {
+    for (bool injective : {true, false}) {
+      SCOPED_TRACE(std::string(name) + (injective ? " injective" : " hom"));
+      MatchOptions opts;
+      opts.injective = injective;
+      opts.parallel_strategy = ParallelStrategy::kRootCursor;
+      EmbeddingSet expected;
+      MatchOptions one = opts;
+      one.callback = Collector(&expected);
+      const MatchResult sequential = ParallelDafMatch(query, data, one, 1);
+      ASSERT_TRUE(sequential.ok);
+      ASSERT_GE(expected.size(), 2u);
+      ASSERT_EQ(sequential.embeddings, expected.size());
+
+      for (uint32_t threads : {2u, 3u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        std::vector<std::vector<VertexId>> found;
+        MatchOptions all = opts;
+        all.callback = Recorder(&found);
+        const MatchResult r = ParallelDafMatch(query, data, all, threads);
+        ASSERT_TRUE(r.ok);
+        EXPECT_TRUE(r.Complete());
+        EXPECT_EQ(r.embeddings, expected.size());
+        EXPECT_EQ(found.size(), expected.size());
+        EXPECT_EQ(EmbeddingSet(found.begin(), found.end()), expected);
+        EXPECT_EQ(r.threads_used, threads);
+        EXPECT_GT(r.tasks_executed, 0u);
+        EXPECT_EQ(r.donations, 0u);  // splitting is off
+        ASSERT_EQ(r.per_thread_calls.size(), threads);
+        uint64_t calls = 0;
+        for (uint64_t c : r.per_thread_calls) calls += c;
+        EXPECT_EQ(calls, r.recursive_calls);
+
+        std::vector<std::vector<VertexId>> limited;
+        MatchOptions capped = opts;
+        capped.limit = expected.size() / 2;
+        capped.callback = Recorder(&limited);
+        const MatchResult l = ParallelDafMatch(query, data, capped, threads);
+        ASSERT_TRUE(l.ok);
+        EXPECT_TRUE(l.limit_reached);
+        EXPECT_EQ(l.embeddings, capped.limit);
+        EXPECT_EQ(limited.size(), capped.limit);
+        const EmbeddingSet distinct(limited.begin(), limited.end());
+        EXPECT_EQ(distinct.size(), limited.size());
+        for (const std::vector<VertexId>& e : distinct) {
+          EXPECT_EQ(expected.count(e), 1u);
+        }
+      }
+    }
   }
 }
 
@@ -274,7 +344,7 @@ TEST(WorkStealTest, ProfileReportsSchedulerCounters) {
   opts.profile = &profile;
   opts.parallel_strategy = ParallelStrategy::kWorkStealing;
   opts.split_threshold = 1;
-  ParallelMatchResult r = ParallelDafMatch(query, data, opts, 4);
+  MatchResult r = ParallelDafMatch(query, data, opts, 4);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(profile.parallel.tasks_executed, r.tasks_executed);
   EXPECT_EQ(profile.parallel.steals, r.steals);

@@ -103,7 +103,7 @@ TEST(ConcurrencyTest, ParallelEngineInsideConcurrentCallers) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
-      ParallelMatchResult r = ParallelDafMatch(query, data, {}, 3);
+      MatchResult r = ParallelDafMatch(query, data, {}, 3);
       if (!r.Complete() || r.embeddings != direct.embeddings) {
         mismatches.fetch_add(1);
       }

@@ -164,7 +164,7 @@ TEST_P(EdgeLabelCrossTest, AllEnginesAgree) {
     EmbeddingSet found;
     MatchOptions opts;
     opts.callback = Collector(&found);
-    ParallelMatchResult r = ParallelDafMatch(query, data, opts, 3);
+    MatchResult r = ParallelDafMatch(query, data, opts, 3);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(found, expected) << "parallel";
   }

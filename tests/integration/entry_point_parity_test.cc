@@ -1,5 +1,6 @@
 // Entry-point parity: every public way to run a match — DafMatch,
-// ParallelDafMatch (1 and 3 threads), DafMatchPrepared,
+// ParallelDafMatch (1 and 3 threads, and 3 threads under the root
+// cursor), DafMatchPrepared,
 // ParallelDafMatchPrepared, both EmbeddingCursor constructors, and a
 // MatchService stream job cold and on a cache hit — must report the same
 // outcome for the same (query, data, options): the ok flag, the embedding
@@ -257,6 +258,13 @@ TEST(EntryPointParityTest, AllEntryPointsAgreePerOptionRow) {
                                     RunOptions(c, limit).options, threads)),
                 reference)
           << "ParallelDafMatch threads=" << threads;
+    }
+    {
+      RunOptions run(c, limit);
+      run.options.parallel_strategy = ParallelStrategy::kRootCursor;
+      EXPECT_EQ(Of(ParallelDafMatch(c.query, c.data, run.options, 3)),
+                reference)
+          << "ParallelDafMatch threads=3 root cursor";
     }
     {
       // The producer thread polls the stop sources: keep them alive.

@@ -67,7 +67,7 @@ TEST_P(CrossAlgorithmTest, AllEnginesAgree) {
     EmbeddingSet found;
     MatchOptions opts;
     opts.callback = Collector(&found);
-    ParallelMatchResult r = ParallelDafMatch(query, data, opts, 3);
+    MatchResult r = ParallelDafMatch(query, data, opts, 3);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(found, expected) << "ParallelDAF";
   }

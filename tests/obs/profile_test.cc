@@ -200,7 +200,7 @@ TEST(SearchProfileTest, ParallelMergeEqualsSumOfThreadProfiles) {
   obs::SearchProfile profile;
   MatchOptions options;
   options.profile = &profile;
-  ParallelMatchResult r =
+  MatchResult r =
       ParallelDafMatch(extracted->query, data, options, /*num_threads=*/4);
   ASSERT_TRUE(r.ok);
   ASSERT_EQ(profile.thread_profiles.size(), 4u);
@@ -222,8 +222,7 @@ TEST(SearchProfileTest, ParallelMergeEqualsSumOfThreadProfiles) {
 
   // Profiling does not change the embedding count.
   MatchOptions unprofiled;
-  ParallelMatchResult r2 =
-      ParallelDafMatch(extracted->query, data, unprofiled, 4);
+  MatchResult r2 = ParallelDafMatch(extracted->query, data, unprofiled, 4);
   ASSERT_TRUE(r2.ok);
   EXPECT_EQ(r.embeddings, r2.embeddings);
 }
