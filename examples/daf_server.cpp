@@ -135,9 +135,6 @@ class Session {
       // each service instance picks up exactly where the last left off.
       daf::persist::DurableStore::Options po;
       po.fsync_policy = config_.fsync_policy;
-      po.delta_options.compaction_ratio = defaults_.delta_compaction_ratio;
-      po.delta_options.compaction_min_edges =
-          defaults_.delta_compaction_min_edges;
       std::string error;
       std::unique_ptr<daf::persist::DurableStore> store =
           daf::persist::DurableStore::Open(config_.data_dir, po, &error);

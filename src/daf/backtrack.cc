@@ -47,8 +47,7 @@ void Backtracker::InitRun(const BacktrackOptions& options) {
   splitting_ = scheduler_ != nullptr && scheduler_->split_threshold() != 0;
   stop_condition_ =
       StopCondition(options.deadline, options.cancel, options.budget);
-  stop_armed_ = stop_condition_.armed() ||
-                static_cast<bool>(options.progress) || scheduler_ != nullptr ||
+  stop_armed_ = stop_condition_.armed() || scheduler_ != nullptr ||
                 (options.shared_count != nullptr && options.limit != 0);
   deadline_check_countdown_ = 0;
   profile_ = options.profile;
@@ -57,10 +56,6 @@ void Backtracker::InitRun(const BacktrackOptions& options) {
     profile_->Reset();
     // Depths 0..n_ inclusive: depth n_ holds the embedding-class leaves.
     profile_->depth_histogram.assign(n_ + 1, 0);
-  }
-  if (options_.progress) {
-    run_timer_.Restart();
-    next_progress_ms_ = options_.progress_interval_ms;
   }
   std::fill(mapped_cand_idx_.begin(), mapped_cand_idx_.end(), kNotMapped);
   std::fill(num_mapped_parents_.begin(), num_mapped_parents_.end(), 0u);
@@ -215,24 +210,8 @@ bool Backtracker::ShouldStop() {
       stop_ = true;
       return true;
     }
-    if (options_.progress) ReportProgress();
   }
   return false;
-}
-
-void Backtracker::ReportProgress() {
-  const double elapsed = run_timer_.ElapsedMs();
-  if (elapsed < next_progress_ms_) return;
-  next_progress_ms_ = elapsed + options_.progress_interval_ms;
-  obs::ProgressSnapshot snapshot;
-  snapshot.embeddings = stats_.embeddings;
-  snapshot.recursive_calls = stats_.recursive_calls;
-  snapshot.elapsed_ms = elapsed;
-  snapshot.embeddings_per_sec =
-      elapsed > 0 ? 1000.0 * static_cast<double>(stats_.embeddings) / elapsed
-                  : 0;
-  snapshot.thread = options_.thread_id;
-  options_.progress(snapshot);
 }
 
 void Backtracker::ReportEmbedding() {

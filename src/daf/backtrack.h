@@ -84,12 +84,7 @@ struct BacktrackOptions {
   /// Optional per-cause prune counters and depth histogram (not owned).
   /// Reset by Run; null disables all profile instrumentation.
   obs::BacktrackProfile* profile = nullptr;
-  /// Optional sampled progress hook: invoked at most once per
-  /// `progress_interval_ms`, checked on the same 4096-call countdown as the
-  /// deadline, so the disabled path costs nothing extra.
-  obs::ProgressFn progress;
-  double progress_interval_ms = 1000;
-  /// Worker index stamped into ProgressSnapshot::thread.
+  /// This worker's index in `scheduler` (multi-threaded runs only).
   uint32_t thread_id = 0;
 };
 
@@ -161,7 +156,6 @@ class Backtracker {
   void Unmap(VertexId u);
   bool ShouldStop();
   void ReportEmbedding();
-  void ReportProgress();
   /// Adds this run's kernel-selection counters to profile_ (when set).
   void FlushIntersectStats();
   /// Records one examined search-tree node at `depth` (profiling only).
@@ -223,10 +217,8 @@ class Backtracker {
   StopCondition stop_condition_;
   bool stop_armed_ = false;
   uint64_t deadline_check_countdown_ = 0;
-  // Observability (all inert when options_.profile / .progress are unset).
+  // Observability (inert when options_.profile is unset).
   obs::BacktrackProfile* profile_ = nullptr;
-  Stopwatch run_timer_;
-  double next_progress_ms_ = 0;
 };
 
 }  // namespace daf

@@ -66,11 +66,6 @@ struct MatchOptions {
   /// are then bit-identical to an unprofiled run. See obs/metrics.h and
   /// docs/OBSERVABILITY.md.
   obs::SearchProfile* profile = nullptr;
-  /// Optional sampled progress hook for long searches (embeddings/sec
-  /// snapshots at most once per `progress_interval_ms`; piggybacks on the
-  /// deadline-check cadence, so it is safe on hot paths).
-  obs::ProgressFn progress;
-  double progress_interval_ms = 1000;
 };
 
 /// Result of a full DAF match.

@@ -27,7 +27,7 @@ using ParallelMatchResult = MatchResult;
 /// min(limit, total embeddings); the *set* found under a limit may differ
 /// across runs.
 ///
-/// `options.callback` and `options.progress` are invoked under a mutex.
+/// `options.callback` is invoked under a mutex.
 /// With `options.profile` set, each worker fills its own BacktrackProfile;
 /// the merge lands in `profile->backtrack` and the per-worker breakdowns in
 /// `profile->thread_profiles`.

@@ -81,8 +81,6 @@ BacktrackOptions ToBacktrackOptions(const MatchOptions& options,
   bt.budget = options.memory_budget;
   bt.equivalence = options.equivalence;
   bt.callback = options.callback;
-  bt.progress = options.progress;
-  bt.progress_interval_ms = options.progress_interval_ms;
   return bt;
 }
 
@@ -101,9 +99,9 @@ void AddStats(const BacktrackStats& stats, MatchResult* result) {
 // subtree tasks from one StealScheduler: under kWorkStealing a single seed
 // task whose ranges busy workers split for idle ones; under kRootCursor one
 // task per candidate of the DAG root, with splitting off (Appendix A.4). A
-// shared counter enforces the limit across workers, and the callback and
-// progress hook run under one mutex. Per-thread diagnostics reach the result
-// and the profile.
+// shared counter enforces the limit across workers, and the callback runs
+// under one mutex. The scheduler counters reach the result, the per-worker
+// backtrack profiles the profile.
 void Search(const Graph& query, const PreparedQuery& prepared,
             const Graph& data, const MatchOptions& options,
             const RunStop& stop, uint32_t num_threads, MatchContext* context,
@@ -149,12 +147,6 @@ void Search(const Graph& query, const PreparedQuery& prepared,
       return options.callback(embedding);
     };
   }
-  if (options.progress) {
-    shared.progress = [&](const obs::ProgressSnapshot& snapshot) {
-      std::lock_guard<std::mutex> lock(callback_mutex);
-      options.progress(snapshot);
-    };
-  }
 
   // One profile per worker; merged below so parallel runs report both the
   // aggregate and the per-thread breakdown.
@@ -179,7 +171,6 @@ void Search(const Graph& query, const PreparedQuery& prepared,
   }
   for (std::thread& w : workers) w.join();
 
-  std::vector<uint64_t> per_thread_steals(num_threads);
   result->per_thread_calls.resize(num_threads);
   uint64_t max_calls = 0;
   for (uint32_t t = 0; t < num_threads; ++t) {
@@ -191,7 +182,6 @@ void Search(const Graph& query, const PreparedQuery& prepared,
     result->steals += ws.steals;
     result->donations += ws.donations;
     result->idle_ms += ws.idle_ms;
-    per_thread_steals[t] = ws.steals;
   }
   if (result->recursive_calls > 0) {
     result->call_imbalance = static_cast<double>(max_calls) * num_threads /
@@ -202,14 +192,6 @@ void Search(const Graph& query, const PreparedQuery& prepared,
       profile->backtrack.MergeFrom(tp);
     }
     profile->thread_profiles = std::move(thread_profiles);
-    obs::ParallelProfile& par = profile->parallel;
-    par.tasks_executed = result->tasks_executed;
-    par.steals = result->steals;
-    par.donations = result->donations;
-    par.idle_ms = result->idle_ms;
-    par.call_imbalance = result->call_imbalance;
-    par.per_thread_calls = result->per_thread_calls;
-    par.per_thread_steals = std::move(per_thread_steals);
   }
 }
 
@@ -275,12 +257,18 @@ MatchResult RunMatch(const Graph& query, const PreparedQuery* blob,
     result.error = "empty query graph";
     return result;
   }
+  if (blob != nullptr && blob->cs_fingerprint != CsFingerprint(options)) {
+    // The blob's candidate sets (and any certificate) belong to other CS
+    // options; searching them would answer a different question.
+    result.ok = false;
+    result.error =
+        "prepared query was built under different CS options (refinement "
+        "steps, NLF/MND filters, injectivity)";
+    return result;
+  }
   num_threads = std::max(num_threads, 1u);
   obs::SearchProfile* profile = options.profile;
-  if (profile != nullptr) {
-    profile->Reset();
-    profile->threads = num_threads;
-  }
+  if (profile != nullptr) profile->Reset();
   std::optional<MatchContext> private_context;
   if (context == nullptr) context = &private_context.emplace();
   MemoryBudget* budget = options.memory_budget;

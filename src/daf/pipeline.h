@@ -51,7 +51,9 @@ StopCause Prepare(const Graph& query, const Graph& data,
 /// The whole pipeline: Prepare `query` into the context arena (skipped
 /// when `blob` is given — the search then runs over `blob->query`), then
 /// Search with `num_threads` workers. One thread runs inline on the calling
-/// thread. `context` may be null (a private one is used).
+/// thread. `context` may be null (a private one is used). A blob whose
+/// cs_fingerprint differs from CsFingerprint(options) is refused (ok =
+/// false) before anything runs.
 MatchResult RunMatch(const Graph& query, const PreparedQuery* blob,
                      const Graph& data, const MatchOptions& options,
                      uint32_t num_threads, MatchContext* context);

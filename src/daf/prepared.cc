@@ -1,5 +1,6 @@
 #include "daf/prepared.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -27,6 +28,15 @@ uint64_t EstimateResidentBytes(const PreparedQuery& pq) {
 
 }  // namespace
 
+uint64_t CsFingerprint(const MatchOptions& options) {
+  uint64_t fp = static_cast<uint64_t>(
+      std::clamp(options.refinement_steps, 0, 255));
+  if (options.use_nlf_filter) fp |= 1u << 8;
+  if (options.use_mnd_filter) fp |= 1u << 9;
+  if (options.injective) fp |= 1u << 10;
+  return fp;
+}
+
 PrepareOutcome PrepareQuery(const Graph& query, const Graph& data,
                             const MatchOptions& options) {
   PrepareOutcome outcome;
@@ -42,10 +52,7 @@ PrepareOutcome PrepareQuery(const Graph& query, const Graph& data,
   build.profile = nullptr;
   auto pq = std::make_shared<PreparedQuery>();
   pq->query = query;
-  pq->refinement_steps = options.refinement_steps;
-  pq->use_nlf_filter = options.use_nlf_filter;
-  pq->use_mnd_filter = options.use_mnd_filter;
-  pq->injective = options.injective;
+  pq->cs_fingerprint = CsFingerprint(options);
   // Standalone build (no context): the blob owns its flat arrays, so no
   // arena has to outlive the cache entry. An interrupted build never yields
   // a blob, even one that already holds a certificate.

@@ -37,12 +37,16 @@ struct PreparedQuery {
   /// Approximate heap footprint of the blob (CS arrays + weights + graph
   /// + DAG), for cache residency accounting.
   uint64_t resident_bytes = 0;
-  /// The CS-shaping options fingerprint this blob was built under.
-  int refinement_steps = 3;
-  bool use_nlf_filter = true;
-  bool use_mnd_filter = true;
-  bool injective = true;
+  /// CsFingerprint of the options this blob was built under; a search
+  /// whose options fingerprint differently is refused.
+  uint64_t cs_fingerprint = 0;
 };
+
+/// Packs the CS-shaping options (refinement steps, NLF/MND filters,
+/// injectivity) — the only MatchOptions that change a PreparedQuery — into
+/// one word. Search-time options (order, failing sets, limits, equivalence,
+/// parallelism) do not enter it: one blob serves all of them.
+uint64_t CsFingerprint(const MatchOptions& options);
 
 /// Outcome of PrepareQuery: either a prepared blob, or the stop cause that
 /// interrupted the build (deadline / cancel / memory exhaustion — the
@@ -69,8 +73,10 @@ PrepareOutcome PrepareQuery(const Graph& query, const Graph& data,
 /// preprocess_ms = 0. A blob's certificate is reported whatever the run's
 /// stop sources say (it came from an uninterrupted build). The blob is only
 /// read; each concurrent call needs its own `context` (or nullptr for a
-/// private one). `options` must agree with the blob's CS fingerprint for
-/// the results to mean anything; the service's cache keys on it.
+/// private one). `options` must agree with the blob's CS fingerprint (the
+/// service's cache keys on it); otherwise the result is ok = false with an
+/// error, since the blob's candidate sets, and any certificate it holds,
+/// belong to other CS options.
 MatchResult DafMatchPrepared(const PreparedQuery& prepared, const Graph& data,
                              const MatchOptions& options,
                              MatchContext* context = nullptr);

@@ -214,23 +214,6 @@ void WriteProfile(JsonWriter& w, const SearchProfile& profile) {
   w.EndObject();
   w.Key("backtrack");
   WriteBacktrackProfile(w, profile.backtrack);
-  w.Key("threads").Uint(profile.threads);
-  if (profile.threads > 1 || profile.parallel.tasks_executed > 0) {
-    const ParallelProfile& par = profile.parallel;
-    w.Key("parallel").BeginObject();
-    w.Key("tasks_executed").Uint(par.tasks_executed);
-    w.Key("steals").Uint(par.steals);
-    w.Key("donations").Uint(par.donations);
-    w.Key("idle_ms").Double(par.idle_ms);
-    w.Key("call_imbalance").Double(par.call_imbalance);
-    w.Key("per_thread_calls").BeginArray();
-    for (uint64_t c : par.per_thread_calls) w.Uint(c);
-    w.EndArray();
-    w.Key("per_thread_steals").BeginArray();
-    for (uint64_t c : par.per_thread_steals) w.Uint(c);
-    w.EndArray();
-    w.EndObject();
-  }
   if (!profile.thread_profiles.empty()) {
     w.Key("thread_profiles").BeginArray();
     for (const BacktrackProfile& t : profile.thread_profiles) {
@@ -256,6 +239,17 @@ void WriteMatchResult(JsonWriter& w, const MatchResult& result) {
   w.Key("search_ms").Double(result.search_ms);
   w.Key("cs_candidates").Uint(result.cs_candidates);
   w.Key("cs_edges").Uint(result.cs_edges);
+  w.Key("threads_used").Uint(result.threads_used);
+  w.Key("parallel").BeginObject();
+  w.Key("tasks_executed").Uint(result.tasks_executed);
+  w.Key("steals").Uint(result.steals);
+  w.Key("donations").Uint(result.donations);
+  w.Key("idle_ms").Double(result.idle_ms);
+  w.Key("call_imbalance").Double(result.call_imbalance);
+  w.Key("per_thread_calls").BeginArray();
+  for (uint64_t c : result.per_thread_calls) w.Uint(c);
+  w.EndArray();
+  w.EndObject();
   w.EndObject();
 }
 

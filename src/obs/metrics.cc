@@ -37,8 +37,6 @@ void SearchProfile::Reset() {
   memory.Reset();
   backtrack.Reset();
   thread_profiles.clear();
-  parallel.Reset();
-  threads = 1;
 }
 
 }  // namespace daf::obs

@@ -2,7 +2,6 @@
 #define DAF_OBS_METRICS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace daf::obs {
@@ -118,38 +117,6 @@ struct MemoryProfile {
   void Reset() { *this = MemoryProfile{}; }
 };
 
-/// Scheduler counters of one multi-threaded run (all-zero in
-/// single-threaded runs; root-cursor runs execute and steal seeded tasks
-/// but never donate). `call_imbalance` is max/mean recursive calls across
-/// workers — 1.0 is a perfect split, `threads` means one worker did all the
-/// work (the skew failure mode root-candidate partitioning cannot fix).
-struct ParallelProfile {
-  uint64_t tasks_executed = 0;  // subtree tasks run (seeded + donated)
-  uint64_t steals = 0;          // tasks taken from another worker's deque
-  uint64_t donations = 0;       // ranges split off for hungry workers
-  double idle_ms = 0;           // summed worker time spent waiting for work
-  double call_imbalance = 0;    // max/mean per-thread recursive calls
-  std::vector<uint64_t> per_thread_calls;
-  std::vector<uint64_t> per_thread_steals;
-
-  void Reset() { *this = ParallelProfile{}; }
-};
-
-/// A sampled point-in-time view of a running search, delivered through the
-/// low-overhead progress hook (see ProgressFn in MatchOptions /
-/// BacktrackOptions). Sampling piggybacks on the deadline-check countdown
-/// (one check every 4096 recursive calls), so an attached hook costs the
-/// same as an armed deadline.
-struct ProgressSnapshot {
-  uint64_t embeddings = 0;       // found so far by the reporting worker
-  uint64_t recursive_calls = 0;  // examined so far by the reporting worker
-  double elapsed_ms = 0;         // since the worker's search started
-  double embeddings_per_sec = 0;
-  uint32_t thread = 0;  // reporting worker (0 in single-threaded runs)
-};
-
-using ProgressFn = std::function<void(const ProgressSnapshot&)>;
-
 /// The full per-query profile threaded through DafMatch/ParallelDafMatch
 /// via `MatchOptions::profile`. Reset at the start of every run it is
 /// attached to.
@@ -167,11 +134,9 @@ struct SearchProfile {
   /// Backtracking counters; in parallel runs this is the merge of every
   /// worker's profile.
   BacktrackProfile backtrack;
-  /// Per-worker profiles; populated by ParallelDafMatch only.
+  /// Per-worker profiles; populated by multi-threaded runs only (their
+  /// scheduler counters are on MatchResult).
   std::vector<BacktrackProfile> thread_profiles;
-  /// Scheduler balance counters; populated by ParallelDafMatch only.
-  ParallelProfile parallel;
-  uint32_t threads = 1;
 
   void Reset();
 };

@@ -99,7 +99,6 @@ void WriteServiceMetrics(JsonWriter& w, const ServiceMetricsSnapshot& m) {
   w.Key("pool_capacity").Uint(m.pool_capacity);
   w.EndObject();
   w.Key("cache").BeginObject();
-  w.Key("enabled").Bool(m.cache_enabled);
   w.Key("cache_lookups").Uint(m.cache_lookups);
   w.Key("cache_hits").Uint(m.cache_hits);
   w.Key("cache_misses").Uint(m.cache_misses);

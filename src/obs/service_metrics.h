@@ -81,10 +81,8 @@ struct ServiceMetricsSnapshot {
   uint64_t global_memory_limit = 0; // service-global limit (0 = unlimited)
   uint32_t pool_peak_in_use = 0;    // context-pool high-water mark
   uint32_t pool_capacity = 0;       // context-pool size
-  // Cross-query plan/CS cache (all zero when cache_enabled is false). The
-  // classification invariant hits + misses + coalesced == lookups holds in
-  // every snapshot.
-  bool cache_enabled = false;
+  // Cross-query plan/CS cache. The classification invariant
+  // hits + misses + coalesced == lookups holds in every snapshot.
   uint64_t cache_lookups = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;

@@ -72,8 +72,8 @@ class DurableStore {
   struct Options {
     FsyncPolicy fsync_policy = FsyncPolicy::kEveryBatch;
     uint64_t fsync_interval_ms = 50;
-    /// DeltaGraph options used for the recovered graph (must match the
-    /// service's, or the recovered graph compacts on a different cadence).
+    /// DeltaGraph options of the stored graph, recovered or fresh: a
+    /// MatchService with this store attached compacts on them.
     dyn::DeltaGraph::Options delta_options;
     /// Snapshots kept after a checkpoint (older ones + their WAL segments
     /// are deleted). At least 1; 2 keeps a fallback if the newest is
@@ -123,6 +123,7 @@ class DurableStore {
   bool Checkpoint(const Graph& g, uint64_t version, std::string* error);
 
   PersistStats Stats() const;
+  const Options& options() const { return options_; }
   const RecoveryInfo& recovery() const { return recovery_; }
   const std::string& dir() const { return dir_; }
   bool failed() const;

@@ -65,10 +65,10 @@ bool ParsePriority(const char* text, Priority* out);
 struct QueryJob {
   Graph query;
 
-  /// Engine options. `callback`, `progress`, `profile`, and `cancel` must
-  /// be unset — the service owns those channels (results stream through the
-  /// JobHandle, the profile is collected per job, cancellation goes through
-  /// JobHandle::Cancel). `time_limit_ms` still applies as a pure search
+  /// Engine options. `callback`, `profile`, and `cancel` must be unset —
+  /// the service owns those channels (results stream through the
+  /// JobHandle, the profile is collected per job, cancellation goes
+  /// through JobHandle::Cancel). `time_limit_ms` still applies as a pure search
   /// budget and composes with `deadline_ms` below (the tighter one wins).
   MatchOptions options;
 
@@ -89,8 +89,8 @@ struct QueryJob {
   /// job is cancelled. When false only counts are reported.
   bool stream_embeddings = false;
 
-  /// Per-job memory budget in bytes (0 = service default, which may itself
-  /// be 0 = unlimited). A job that exceeds it terminates as
+  /// Per-job memory budget in bytes (0 = unlimited; the service-global
+  /// limit still applies). A job that exceeds it terminates as
   /// kResourceExhausted with partial counts; see docs/ROBUSTNESS.md.
   uint64_t max_memory_bytes = 0;
 

@@ -25,11 +25,26 @@ ServiceOptions Normalize(ServiceOptions options) {
   return options;
 }
 
-dyn::DeltaGraph::Options DeltaOptions(const ServiceOptions& options) {
-  dyn::DeltaGraph::Options d;
-  d.compaction_ratio = options.delta_compaction_ratio;
-  d.compaction_min_edges = options.delta_compaction_min_edges;
-  return d;
+QueryCacheOptions CacheOptions(const ServiceOptions& options,
+                               MemoryBudget* global_budget) {
+  QueryCacheOptions cache_options;
+  cache_options.shards = options.cache_shards;
+  cache_options.max_resident_bytes = options.cache_max_resident_bytes;
+  cache_options.budget =
+      options.service_memory_limit_bytes != 0 ? global_budget : nullptr;
+  return cache_options;
+}
+
+// Non-empty when `options` sets an engine side channel the service owns:
+// results flow through the handle, the profile is collected per job, and
+// cancellation goes through the handle too.
+std::string ReservedChannelError(const MatchOptions& options) {
+  if (!options.callback && options.profile == nullptr &&
+      options.cancel == nullptr) {
+    return {};
+  }
+  return "QueryJob::options must leave callback/profile/cancel unset; those "
+         "channels belong to the service";
 }
 
 }  // namespace
@@ -40,16 +55,8 @@ MatchService::MatchService(Graph data, ServiceOptions options)
       dgraph_(InitGraph(std::move(data))),
       queue_(options_.queue_capacity),
       contexts_(options_.num_workers, options_.context_retained_bytes),
-      global_budget_(options_.service_memory_limit_bytes) {
-  if (options_.enable_query_cache) {
-    QueryCacheOptions cache_options;
-    cache_options.shards = options_.cache_shards;
-    cache_options.max_resident_bytes = options_.cache_max_resident_bytes;
-    cache_options.canonical_max_leaves = options_.cache_canonical_max_leaves;
-    cache_options.budget =
-        options_.service_memory_limit_bytes != 0 ? &global_budget_ : nullptr;
-    cache_ = std::make_unique<QueryCache>(cache_options);
-  }
+      global_budget_(options_.service_memory_limit_bytes),
+      cache_(CacheOptions(options_, &global_budget_)) {
   workers_.reserve(options_.num_workers);
   for (uint32_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -62,22 +69,25 @@ MatchService::MatchService(Graph data, ServiceOptions options)
 MatchService::~MatchService() { Shutdown(); }
 
 dyn::DeltaGraph MatchService::InitGraph(Graph data) {
-  if (store_ != nullptr && store_->has_state()) {
+  if (store_ == nullptr) return dyn::DeltaGraph(std::move(data));
+  if (store_->has_state()) {
     // Recovery already replayed the WAL onto the newest valid snapshot;
     // the constructor's seed graph is superseded by the durable truth.
     return store_->TakeRecoveredGraph();
   }
-  if (store_ != nullptr) {
-    std::string error;
-    if (!store_->InitializeFresh(data, /*version=*/0, &error)) {
-      // A service that cannot write its seed snapshot would reject every
-      // update (append-before-apply); degrade to memory-only instead and
-      // say so — the operator chose durability and is not getting it.
-      std::fprintf(stderr, "daf: persistence disabled: %s\n", error.c_str());
-      store_.reset();
-    }
+  // A fresh graph compacts on the store's cadence, exactly as a recovered
+  // one does.
+  const dyn::DeltaGraph::Options delta_options =
+      store_->options().delta_options;
+  std::string error;
+  if (!store_->InitializeFresh(data, /*version=*/0, &error)) {
+    // A service that cannot write its seed snapshot would reject every
+    // update (append-before-apply); degrade to memory-only instead and say
+    // so — the operator chose durability and is not getting it.
+    std::fprintf(stderr, "daf: persistence disabled: %s\n", error.c_str());
+    store_.reset();
   }
-  return dyn::DeltaGraph(std::move(data), DeltaOptions(options_));
+  return dyn::DeltaGraph(std::move(data), delta_options);
 }
 
 JobHandle MatchService::Submit(QueryJob job) {
@@ -86,29 +96,11 @@ JobHandle MatchService::Submit(QueryJob job) {
   state->priority = job.priority;
   state->query = std::move(job.query);
   state->options = std::move(job.options);
-  state->deadline_ms =
-      job.deadline_ms != 0 ? job.deadline_ms : options_.default_deadline_ms;
+  state->deadline_ms = job.deadline_ms;
   state->stream = job.stream_embeddings;
-  state->memory_limit = job.max_memory_bytes != 0
-                            ? job.max_memory_bytes
-                            : options_.job_memory_limit_bytes;
+  state->memory_limit = job.max_memory_bytes;
   state->bypass_cache = job.bypass_cache;
-  if (job.limit != 0) {
-    state->options.limit = job.limit;
-  } else if (state->options.limit == 0) {
-    state->options.limit = options_.default_limit;
-  }
-
-  // The service owns the engine's side channels (results stream through
-  // the handle, the profile is per job, cancellation goes through it too).
-  const bool reserved_channel_set = static_cast<bool>(state->options.callback) ||
-                                    static_cast<bool>(state->options.progress) ||
-                                    state->options.profile != nullptr ||
-                                    state->options.cancel != nullptr;
-  state->options.callback = {};
-  state->options.progress = {};
-  state->options.profile = nullptr;
-  state->options.cancel = nullptr;
+  if (job.limit != 0) state->options.limit = job.limit;
 
   // Resolves a job at submission time (never admitted: no inflight /
   // latency accounting, just the outcome counter).
@@ -119,32 +111,31 @@ JobHandle MatchService::Submit(QueryJob job) {
       state->status.store(status, std::memory_order_release);
     }
     std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++counters_.submitted;
+    ++metrics_.counters.submitted;
     ++*counter;
     return JobHandle(state);
   };
 
-  if (reserved_channel_set) {
+  if (std::string error = ReservedChannelError(state->options);
+      !error.empty()) {
     state->result.ok = false;
-    state->result.error =
-        "QueryJob::options must leave callback/progress/profile/cancel "
-        "unset; those channels belong to the service";
-    return resolve_now(JobStatus::kFailed, &counters_.failed);
+    state->result.error = std::move(error);
+    return resolve_now(JobStatus::kFailed, &metrics_.counters.failed);
   }
   if (shutdown_.load(std::memory_order_acquire)) {
     state->result.ok = false;
     state->result.error = "service is shut down";
-    return resolve_now(JobStatus::kRejected, &counters_.rejected);
+    return resolve_now(JobStatus::kRejected, &metrics_.counters.rejected);
   }
   if (draining_.load(std::memory_order_acquire)) {
     state->result.ok = false;
     state->result.error = "service is draining";
-    return resolve_now(JobStatus::kRejected, &counters_.rejected);
+    return resolve_now(JobStatus::kRejected, &metrics_.counters.rejected);
   }
 
   {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++counters_.submitted;
+    ++metrics_.counters.submitted;
     ++inflight_;
   }
   if (FAULT_POINT(admission_push) || !queue_.TryPush(state)) {
@@ -158,7 +149,7 @@ JobHandle MatchService::Submit(QueryJob job) {
       state->status.store(JobStatus::kRejected, std::memory_order_release);
     }
     std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++counters_.rejected;
+    ++metrics_.counters.rejected;
     --inflight_;
     idle_cv_.notify_all();
   }
@@ -169,7 +160,7 @@ void MatchService::WorkerLoop() {
   while (internal::JobStatePtr job = queue_.Pop()) {
     {
       std::lock_guard<std::mutex> lock(metrics_mutex_);
-      ++running_;
+      ++metrics_.running;
       running_jobs_.push_back(job);
       // A shutdown that raced our pop misses this job in its cancel sweep;
       // checking the flag under the same lock closes the window.
@@ -178,10 +169,10 @@ void MatchService::WorkerLoop() {
     ProcessJob(job);
     {
       std::lock_guard<std::mutex> lock(metrics_mutex_);
-      --running_;
+      --metrics_.running;
       auto it = std::find(running_jobs_.begin(), running_jobs_.end(), job);
       if (it != running_jobs_.end()) running_jobs_.erase(it);
-      // Drain waits for running_ too, so a post-Drain Metrics() snapshot
+      // Drain waits for running jobs too, so a post-Drain Metrics() snapshot
       // never sees a worker still in its per-job bookkeeping.
       idle_cv_.notify_all();
     }
@@ -212,7 +203,7 @@ void MatchService::WatchdogLoop() {
         job->producer_cv.notify_all();
         job->consumer_cv.notify_all();
       }
-      ++watchdog_fires_;
+      ++metrics_.watchdog_fires;
     }
   }
 }
@@ -289,8 +280,8 @@ void MatchService::ProcessJob(const internal::JobStatePtr& job) {
     // StopCondition re-reports any cancel/deadline/budget that interrupted
     // the build.
     QueryCache::Lease cached;
-    if (cache_ != nullptr && !job->bypass_cache) {
-      cached = cache_->Acquire(job->query, data, opts, graph_version);
+    if (!job->bypass_cache) {
+      cached = cache_.Acquire(job->query, data, opts, graph_version);
       job->cache_outcome = cached.outcome;
     }
     const PreparedQuery* blob = cached.prepared.get();
@@ -342,10 +333,11 @@ void MatchService::ProcessJob(const internal::JobStatePtr& job) {
   }
   {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
-    embeddings_streamed_ += streamed;
-    if (threads > 1) ++counters_.parallel_jobs;
-    budget_rejections_ += budget.rejections();
-    peak_job_bytes_ = std::max(peak_job_bytes_, budget.peak_bytes());
+    metrics_.embeddings_streamed += streamed;
+    if (threads > 1) ++metrics_.counters.parallel_jobs;
+    metrics_.budget_rejections += budget.rejections();
+    metrics_.peak_job_bytes =
+        std::max(metrics_.peak_job_bytes, budget.peak_bytes());
   }
   FinishJob(job, status, /*ran=*/true);
 }
@@ -376,33 +368,34 @@ void MatchService::FinishJob(const internal::JobStatePtr& job,
   std::lock_guard<std::mutex> lock(metrics_mutex_);
   switch (status) {
     case JobStatus::kDone:
-      ++counters_.completed;
+      ++metrics_.counters.completed;
       break;
     case JobStatus::kCancelled:
-      ++counters_.cancelled;
+      ++metrics_.counters.cancelled;
       break;
     case JobStatus::kTimedOut:
-      ++counters_.timed_out;
+      ++metrics_.counters.timed_out;
       break;
     case JobStatus::kFailed:
-      ++counters_.failed;
+      ++metrics_.counters.failed;
       break;
     case JobStatus::kResourceExhausted:
-      ++counters_.resource_exhausted;
+      ++metrics_.counters.resource_exhausted;
       break;
     default:
       break;  // kQueued/kRunning/kRejected never reach FinishJob
   }
-  wait_hist_.Record(job->wait_ms);
-  if (ran) run_hist_.Record(job->run_ms);
-  total_hist_.Record(total_ms);
+  metrics_.wait.Record(job->wait_ms);
+  if (ran) metrics_.run.Record(job->run_ms);
+  metrics_.total.Record(total_ms);
   --inflight_;
   idle_cv_.notify_all();
 }
 
 void MatchService::Drain() {
   std::unique_lock<std::mutex> lock(metrics_mutex_);
-  idle_cv_.wait(lock, [&] { return inflight_ == 0 && running_ == 0; });
+  idle_cv_.wait(lock,
+                [&] { return inflight_ == 0 && metrics_.running == 0; });
 }
 
 void MatchService::Shutdown() {
@@ -445,8 +438,9 @@ void MatchService::GracefulShutdown(uint64_t grace_ms) {
     std::unique_lock<std::mutex> lock(metrics_mutex_);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(grace_ms);
-    idle_cv_.wait_until(lock, deadline,
-                        [&] { return inflight_ == 0 && running_ == 0; });
+    idle_cv_.wait_until(lock, deadline, [&] {
+      return inflight_ == 0 && metrics_.running == 0;
+    });
   }
   {
     // Final resync marker: delivery stops at this version, and a consumer
@@ -514,12 +508,9 @@ SubscriptionHandle MatchService::Subscribe(QueryJob job) {
     state->error = std::move(why);
     return SubscriptionHandle(state);
   };
-  if (static_cast<bool>(state->options.callback) ||
-      static_cast<bool>(state->options.progress) ||
-      state->options.profile != nullptr || state->options.cancel != nullptr) {
-    return reject(
-        "QueryJob::options must leave callback/progress/profile/cancel "
-        "unset; deltas are delivered through the SubscriptionHandle");
+  if (std::string error = ReservedChannelError(state->options);
+      !error.empty()) {
+    return reject(std::move(error));
   }
   if (state->query.NumVertices() == 0) {
     return reject("standing query must be non-empty");
@@ -590,7 +581,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
     out.ok = false;
     out.error = std::move(error);
     std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++dyn_batches_rejected_;
+    ++metrics_.dyn_batches_rejected;
     return out;
   }
   std::vector<dyn::DeltaEnumResult> destroyed(subscriptions_.size());
@@ -615,7 +606,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
       out.ok = false;
       out.error = std::move(persist_error);
       std::lock_guard<std::mutex> lock(metrics_mutex_);
-      ++dyn_batches_rejected_;
+      ++metrics_.dyn_batches_rejected;
       return out;
     }
   }
@@ -647,7 +638,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
       out.ok = false;
       out.error = std::move(r.error);
       std::lock_guard<std::mutex> lock(metrics_mutex_);
-      ++dyn_batches_rejected_;
+      ++metrics_.dyn_batches_rejected;
       return out;
     }
     if (r.compacted && logged) {
@@ -713,7 +704,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
 
   // Blobs keyed to older versions can never hit again; free them now
   // instead of leaving them to LRU pressure.
-  if (cache_ != nullptr) cache_->PurgeBefore(out.version);
+  cache_.PurgeBefore(out.version);
 
   if (checkpoint_graph != nullptr) {
     // Still under update_mutex_ (checkpoints serialize with appends) but
@@ -726,15 +717,16 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
   }
 
   std::lock_guard<std::mutex> lock(metrics_mutex_);
-  ++dyn_batches_applied_;
-  dyn_cs_incremental_ += cs_incremental;
-  dyn_cs_rebuilds_ += cs_rebuilds;
-  dyn_dirty_pairs_ += dirty_pairs;
-  dyn_peak_dirty_pairs_ = std::max(dyn_peak_dirty_pairs_, peak_dirty);
-  dyn_embeddings_created_ += out.embeddings_created;
-  dyn_embeddings_destroyed_ += out.embeddings_destroyed;
-  dyn_resyncs_ += out.resyncs;
-  for (double ms : notify_ms) notify_hist_.Record(ms);
+  ++metrics_.dyn_batches_applied;
+  metrics_.dyn_cs_incremental += cs_incremental;
+  metrics_.dyn_cs_rebuilds += cs_rebuilds;
+  metrics_.dyn_dirty_pairs += dirty_pairs;
+  metrics_.dyn_peak_dirty_pairs =
+      std::max(metrics_.dyn_peak_dirty_pairs, peak_dirty);
+  metrics_.dyn_embeddings_created += out.embeddings_created;
+  metrics_.dyn_embeddings_destroyed += out.embeddings_destroyed;
+  metrics_.dyn_resyncs += out.resyncs;
+  for (double ms : notify_ms) metrics_.notify.Record(ms);
   return out;
 }
 
@@ -756,12 +748,34 @@ bool MatchService::Checkpoint(std::string* error) {
 
 obs::ServiceMetricsSnapshot MatchService::Metrics() const {
   obs::ServiceMetricsSnapshot m;
-  // Locks ordered as everywhere else: update/graph first, metrics last
-  // (the store's internal mutex is a leaf — Stats never blocks a writer
-  // for long).
+  {
+    std::lock_guard<std::mutex> lock(metrics_mutex_);
+    m = metrics_;
+  }
+  // The live fields, read after the metrics lock is dropped (it is never
+  // held while taking the update or graph lock). Counters first, version
+  // after: a snapshot never shows more applied batches than its version.
   m.dyn_active_subscriptions = ActiveSubscriptions();
   m.graph_version = GraphVersion();
+  m.queue_depth = queue_.depth();
+  m.workers = static_cast<uint32_t>(workers_.size());
+  m.global_memory_used = global_budget_.used();
+  m.global_memory_limit = global_budget_.limit();
+  m.pool_peak_in_use = contexts_.peak_in_use();
+  m.pool_capacity = contexts_.capacity();
+  const QueryCacheStats cs = cache_.Stats();
+  m.cache_lookups = cs.lookups;
+  m.cache_hits = cs.hits;
+  m.cache_misses = cs.misses;
+  m.cache_coalesced = cs.coalesced;
+  m.cache_evictions = cs.evictions;
+  m.cache_insert_failures = cs.insert_failures;
+  m.cache_uncacheable = cs.uncacheable;
+  m.cache_resident_bytes = cs.resident_bytes;
+  m.cache_entries = cs.entries;
   if (store_ != nullptr) {
+    // The store's internal mutex is a leaf: Stats never blocks a writer
+    // for long.
     const persist::PersistStats ps = store_->Stats();
     m.persist_enabled = true;
     m.persist_wal_bytes = ps.wal_bytes;
@@ -776,45 +790,6 @@ obs::ServiceMetricsSnapshot MatchService::Metrics() const {
     m.persist_recovery_wal_replayed = ps.recovery.wal_records_replayed;
     m.persist_recovery_wal_truncated_bytes = ps.recovery.wal_truncated_bytes;
     m.persist_recovery_ms = ps.recovery.recovery_ms;
-  }
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  m.dyn_batches_applied = dyn_batches_applied_;
-  m.dyn_batches_rejected = dyn_batches_rejected_;
-  m.dyn_cs_incremental = dyn_cs_incremental_;
-  m.dyn_cs_rebuilds = dyn_cs_rebuilds_;
-  m.dyn_dirty_pairs = dyn_dirty_pairs_;
-  m.dyn_peak_dirty_pairs = dyn_peak_dirty_pairs_;
-  m.dyn_embeddings_created = dyn_embeddings_created_;
-  m.dyn_embeddings_destroyed = dyn_embeddings_destroyed_;
-  m.dyn_resyncs = dyn_resyncs_;
-  m.notify = notify_hist_;
-  m.counters = counters_;
-  m.queue_depth = queue_.depth();
-  m.running = running_;
-  m.workers = static_cast<uint32_t>(workers_.size());
-  m.embeddings_streamed = embeddings_streamed_;
-  m.watchdog_fires = watchdog_fires_;
-  m.budget_rejections = budget_rejections_;
-  m.peak_job_bytes = peak_job_bytes_;
-  m.global_memory_used = global_budget_.used();
-  m.global_memory_limit = global_budget_.limit();
-  m.pool_peak_in_use = contexts_.peak_in_use();
-  m.pool_capacity = contexts_.capacity();
-  m.wait = wait_hist_;
-  m.run = run_hist_;
-  m.total = total_hist_;
-  if (cache_ != nullptr) {
-    const QueryCacheStats cs = cache_->Stats();
-    m.cache_enabled = true;
-    m.cache_lookups = cs.lookups;
-    m.cache_hits = cs.hits;
-    m.cache_misses = cs.misses;
-    m.cache_coalesced = cs.coalesced;
-    m.cache_evictions = cs.evictions;
-    m.cache_insert_failures = cs.insert_failures;
-    m.cache_uncacheable = cs.uncacheable;
-    m.cache_resident_bytes = cs.resident_bytes;
-    m.cache_entries = cs.entries;
   }
   return m;
 }

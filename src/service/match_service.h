@@ -31,12 +31,6 @@ struct ServiceOptions {
   /// Admission-queue bound shared across priority lanes; submissions beyond
   /// it are rejected (load shedding), never blocked.
   size_t queue_capacity = 256;
-  /// Default end-to-end deadline applied when a job does not set its own
-  /// (0 = none).
-  uint64_t default_deadline_ms = 0;
-  /// Default embedding limit applied when neither the job nor its
-  /// MatchOptions set one (0 = enumerate all).
-  uint64_t default_limit = 0;
   /// Collect a SearchProfile per job (readable via JobHandle::Profile).
   bool collect_profiles = true;
   /// Opt-in intra-query parallelism for latency-critical work: when > 1,
@@ -47,12 +41,9 @@ struct ServiceOptions {
   /// machine. 1 (the default) keeps every job single-threaded.
   uint32_t intra_query_threads = 1;
 
-  // --- Resource governance (docs/ROBUSTNESS.md).
+  // --- Resource governance (docs/ROBUSTNESS.md). Per-job budgets are
+  // QueryJob::max_memory_bytes.
 
-  /// Default per-job memory budget in bytes, applied when the job does not
-  /// set QueryJob::max_memory_bytes (0 = unlimited). An exceeding job
-  /// terminates as kResourceExhausted with partial counts.
-  uint64_t job_memory_limit_bytes = 0;
   /// Service-global memory limit across all concurrently running jobs
   /// (0 = unlimited). Going over exhausts the *charging* job only; the
   /// global ledger recovers when that job releases.
@@ -67,24 +58,18 @@ struct ServiceOptions {
   /// (covers the engine's poll cadence plus scheduling noise).
   uint64_t watchdog_grace_ms = 1000;
 
-  // --- Cross-query plan/CS cache (docs/SERVICE.md).
+  // --- Cross-query plan/CS cache (docs/SERVICE.md). Jobs whose queries are
+  // isomorphic (any vertex relabeling) to an already-served pattern skip
+  // BuildDAG and CS construction, leasing the shared blob read-only.
+  // Results are identical to cold builds; QueryJob::bypass_cache opts a
+  // single job out.
 
-  /// Enables the canonical-key PreparedQuery cache: jobs whose queries are
-  /// isomorphic (any vertex relabeling) to an already-served pattern skip
-  /// BuildDAG and CS construction, leasing the shared blob read-only.
-  /// Results are identical to cold builds; QueryJob::bypass_cache opts a
-  /// single job out.
-  bool enable_query_cache = true;
   /// Resident-bytes cap of the cache (0 = unlimited). Resident bytes are
   /// also charged against service_memory_limit_bytes when that is set, with
   /// LRU eviction keeping headroom for running jobs.
   uint64_t cache_max_resident_bytes = 64ull << 20;
   /// Cache shards (lock-contention knob).
   uint32_t cache_shards = 8;
-  /// Leaf cap of the canonicalizer's individualization search. A query
-  /// whose canonization overruns it is served cold (uncacheable), never
-  /// incorrectly.
-  uint64_t cache_canonical_max_leaves = 65536;
 
   // --- Dynamic graph and standing queries (docs/DYNAMIC.md).
 
@@ -98,9 +83,6 @@ struct ServiceOptions {
   /// drops the backlog and leaves a single resync marker (see
   /// DeltaBatch::resync).
   size_t subscription_queue_batches = 64;
-  /// Overlay compaction policy of the underlying DeltaGraph.
-  double delta_compaction_ratio = 0.25;
-  uint64_t delta_compaction_min_edges = 4096;
 
   // --- Durable state (docs/PERSISTENCE.md).
 
@@ -108,12 +90,13 @@ struct ServiceOptions {
   /// store recovered prior state, the constructor's `data` argument is
   /// ignored in favor of the recovered graph; a fresh store is seeded with
   /// `data` as the version-0 snapshot (if that seed write fails the
-  /// service degrades to memory-only with a warning on stderr). Configure
-  /// the store's delta_options to match delta_compaction_* so a recovered
-  /// graph compacts on the same cadence. Once attached, every committed
-  /// batch is WAL-appended before it is applied, and overlay compaction
-  /// additionally rolls the WAL into a fresh snapshot.
-  std::shared_ptr<persist::DurableStore> data_store;
+  /// service degrades to memory-only with a warning on stderr). The
+  /// store's delta_options set the overlay compaction cadence, fresh or
+  /// recovered; a memory-only service compacts on DeltaGraph::Options{}.
+  /// Once attached, every committed batch is WAL-appended before it is
+  /// applied, and overlay compaction additionally rolls the WAL into a
+  /// fresh snapshot.
+  std::shared_ptr<persist::DurableStore> data_store = nullptr;
 };
 
 /// A transport-agnostic concurrent subgraph-match service: owns one shared
@@ -266,9 +249,9 @@ class MatchService {
   /// Service-global memory ledger; every job's per-job budget charges
   /// through it as its parent.
   MemoryBudget global_budget_;
-  /// Cross-query plan/CS cache (null when disabled); resident bytes charge
-  /// the global ledger through a child budget.
-  std::unique_ptr<QueryCache> cache_;
+  /// Cross-query plan/CS cache; resident bytes charge the global ledger
+  /// (when it has a limit) through a child budget.
+  QueryCache cache_;
   std::vector<std::thread> workers_;
   std::thread watchdog_;
   std::atomic<uint64_t> next_id_{1};
@@ -282,31 +265,15 @@ class MatchService {
   // Metrics and drain bookkeeping (one lock; all updates are O(1)).
   mutable std::mutex metrics_mutex_;
   std::condition_variable idle_cv_;
-  obs::ServiceCounters counters_;
-  obs::LatencyHistogram wait_hist_;
-  obs::LatencyHistogram run_hist_;
-  obs::LatencyHistogram total_hist_;
-  uint64_t embeddings_streamed_ = 0;
+  /// Counters, histograms and `running` (jobs on a worker). The fields
+  /// read live from other components (queue, workers, memory, pool, cache,
+  /// persist, graph version, subscriptions) stay zero here; Metrics() fills
+  /// them in on its copy.
+  obs::ServiceMetricsSnapshot metrics_;
   uint64_t inflight_ = 0;  // admitted, not yet terminal
-  uint32_t running_ = 0;   // currently on a worker
   // Jobs currently on a worker, so Shutdown (and the watchdog) can
   // cancel-request them.
   std::vector<internal::JobStatePtr> running_jobs_;
-  // Resource-governance accounting (guarded by metrics_mutex_).
-  uint64_t watchdog_fires_ = 0;
-  uint64_t budget_rejections_ = 0;
-  uint64_t peak_job_bytes_ = 0;
-  // Dynamic-graph accounting (guarded by metrics_mutex_).
-  uint64_t dyn_batches_applied_ = 0;
-  uint64_t dyn_batches_rejected_ = 0;
-  uint64_t dyn_cs_incremental_ = 0;
-  uint64_t dyn_cs_rebuilds_ = 0;
-  uint64_t dyn_dirty_pairs_ = 0;
-  uint64_t dyn_peak_dirty_pairs_ = 0;
-  uint64_t dyn_embeddings_created_ = 0;
-  uint64_t dyn_embeddings_destroyed_ = 0;
-  uint64_t dyn_resyncs_ = 0;
-  obs::LatencyHistogram notify_hist_;  // per-subscription notify latency
   // Wakes the watchdog early on shutdown (waits on metrics_mutex_).
   std::condition_variable watchdog_cv_;
 };

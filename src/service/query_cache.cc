@@ -9,21 +9,6 @@
 
 namespace daf::service {
 
-namespace {
-
-// Packs the CS-shaping options — the only MatchOptions that change the
-// cached blob — into one fingerprint word for the key suffix.
-uint64_t OptionsFingerprint(const MatchOptions& options) {
-  uint64_t fp = static_cast<uint64_t>(
-      std::clamp(options.refinement_steps, 0, 255));
-  if (options.use_nlf_filter) fp |= 1u << 8;
-  if (options.use_mnd_filter) fp |= 1u << 9;
-  if (options.injective) fp |= 1u << 10;
-  return fp;
-}
-
-}  // namespace
-
 size_t QueryCache::KeyHash::operator()(const Key& k) const {
   // FNV-1a over the key words; the canonical encoding already mixes the
   // graph structure, so a simple fold distributes well across shards.
@@ -111,7 +96,7 @@ QueryCache::Lease QueryCache::Acquire(const Graph& query, const Graph& data,
 
   Key key;
   key.reserve(lease.form.key.size() + 3);
-  key.push_back(OptionsFingerprint(options));
+  key.push_back(CsFingerprint(options));
   key.push_back(options_.graph_id);
   key.push_back(graph_id);
   key.insert(key.end(), lease.form.key.begin(), lease.form.key.end());

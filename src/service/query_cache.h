@@ -64,7 +64,8 @@ struct QueryCacheStats {
 ///
 /// Keying: the submitted query is canonicalized (graph/canonical.h), and the
 /// canonical encoding is extended with the CS-shaping option fingerprint
-/// (refinement steps, NLF/MND filters, injectivity) and the data-graph id.
+/// (CsFingerprint: refinement steps, NLF/MND filters, injectivity) and the
+/// data-graph id.
 /// Any two submissions that are isomorphic as labeled graphs — arbitrary
 /// vertex relabelings included — therefore share one entry; options that
 /// only affect the *search* (order, failing sets, limits, equivalence,

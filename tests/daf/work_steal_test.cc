@@ -18,6 +18,7 @@
 #include "daf/parallel.h"
 #include "daf/steal.h"
 #include "graph/query_extract.h"
+#include "obs/json.h"
 #include "tests/test_util.h"
 
 namespace daf {
@@ -346,18 +347,31 @@ TEST(WorkStealTest, ProfileReportsSchedulerCounters) {
   opts.split_threshold = 1;
   MatchResult r = ParallelDafMatch(query, data, opts, 4);
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(profile.parallel.tasks_executed, r.tasks_executed);
-  EXPECT_EQ(profile.parallel.steals, r.steals);
-  EXPECT_EQ(profile.parallel.donations, r.donations);
-  EXPECT_EQ(profile.parallel.call_imbalance, r.call_imbalance);
-  ASSERT_EQ(profile.parallel.per_thread_calls.size(), 4u);
-  ASSERT_EQ(profile.parallel.per_thread_steals.size(), 4u);
-  uint64_t calls = 0;
-  for (uint64_t c : profile.parallel.per_thread_calls) calls += c;
-  EXPECT_EQ(calls, r.recursive_calls);
-  uint64_t steals = 0;
-  for (uint64_t s : profile.parallel.per_thread_steals) steals += s;
-  EXPECT_EQ(steals, r.steals);
+  ASSERT_EQ(r.per_thread_calls.size(), 4u);
+  EXPECT_GT(r.tasks_executed, 0u);
+
+  // The scheduler counters are serialized from the result, once: the
+  // profile JSON carries only the per-worker backtrack profiles.
+  const std::string json = obs::MatchResultToJson(r, &profile, /*indent=*/0);
+  std::string calls;
+  for (uint64_t c : r.per_thread_calls) {
+    calls += (calls.empty() ? "" : ",") + std::to_string(c);
+  }
+  obs::JsonWriter idle(0), imbalance(0);
+  idle.Double(r.idle_ms);
+  imbalance.Double(r.call_imbalance);
+  const std::string block =
+      "\"threads_used\":4,\"parallel\":{\"tasks_executed\":" +
+      std::to_string(r.tasks_executed) +
+      ",\"steals\":" + std::to_string(r.steals) +
+      ",\"donations\":" + std::to_string(r.donations) +
+      ",\"idle_ms\":" + idle.str() +
+      ",\"call_imbalance\":" + imbalance.str() +
+      ",\"per_thread_calls\":[" + calls + "]}";
+  EXPECT_NE(json.find(block), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"parallel\""), json.rfind("\"parallel\""));
+  EXPECT_EQ(json.find("per_thread_steals"), std::string::npos);
+  EXPECT_NE(json.find("\"thread_profiles\""), std::string::npos);
 }
 
 TEST(StealOrderTest, FlatTopologyPreservesPlainRing) {

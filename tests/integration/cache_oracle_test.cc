@@ -190,7 +190,6 @@ TEST(CacheOracleTest, TwoHundredSeededPairsColdWarmPermuted) {
   }
 
   obs::ServiceMetricsSnapshot m = service.Metrics();
-  EXPECT_TRUE(m.cache_enabled);
   EXPECT_EQ(m.cache_hits + m.cache_misses + m.cache_coalesced,
             m.cache_lookups);
   EXPECT_EQ(m.cache_uncacheable, 0u);

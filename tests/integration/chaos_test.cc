@@ -411,26 +411,28 @@ TEST_F(ChaosTest, WatchdogLeavesDeadlinelessJobsAlone) {
   EXPECT_EQ(service.Metrics().watchdog_fires, 0u);
 }
 
-TEST_F(ChaosTest, PerJobBudgetOverridesServiceDefault) {
+TEST_F(ChaosTest, PerJobBudgetCapsOnlyItsJob) {
   ServiceOptions options;
   options.num_workers = 1;
-  options.job_memory_limit_bytes = 8 * 1024;  // default: everything exhausts
-  // The 8 KiB cap is sized to the *cold* path's arena charge; the prepared
-  // (cache-hit) path stays under it, which would defeat the test's premise.
-  options.enable_query_cache = false;
   MatchService service(SmallData(), options);
 
   QueryJob capped;
   capped.query = EasyQuery();
+  capped.max_memory_bytes = 8 * 1024;
+  // The 8 KiB cap is sized to the *cold* path's arena charge; the prepared
+  // (cache-hit) path stays under it, which would defeat the test's premise.
+  capped.bypass_cache = true;
   JobHandle h1 = service.Submit(std::move(capped));
   EXPECT_EQ(h1.Wait(), JobStatus::kResourceExhausted);
   EXPECT_TRUE(h1.Result().resource_exhausted);
 
-  QueryJob generous;
-  generous.query = EasyQuery();
-  generous.max_memory_bytes = uint64_t{1} << 30;  // per-job override
-  JobHandle h2 = service.Submit(std::move(generous));
+  QueryJob uncapped;  // max_memory_bytes = 0: no per-job limit
+  uncapped.query = EasyQuery();
+  uncapped.bypass_cache = true;
+  JobHandle h2 = service.Submit(std::move(uncapped));
   EXPECT_EQ(h2.Wait(), JobStatus::kDone);
+  EXPECT_EQ(h2.Result().embeddings,
+            DafMatch(EasyQuery(), SmallData()).embeddings);
 
   obs::ServiceMetricsSnapshot m = service.Metrics();
   EXPECT_EQ(m.counters.resource_exhausted, 1u);

@@ -119,8 +119,6 @@ persist::DurableStore::Options StoreOptions() {
 
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.delta_compaction_ratio = 0.01;
-  options.delta_compaction_min_edges = 1;
   options.data_store = std::move(store);
   service::MatchService service(BaseGraph(), options);
   if (!service.Metrics().persist_enabled) _exit(3);

@@ -12,6 +12,9 @@
 // from an uninterrupted build and stays valid), while a cold run with a
 // pre-cancelled token or a pre-exhausted budget stops inside the CS build
 // and reports that cause instead.
+//
+// A blob searched under options whose CS fingerprint differs from the one
+// it was built under is refused (ok = false) by every blob entry point.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -312,6 +315,46 @@ TEST(EntryPointParityTest, AllEntryPointsAgreePerOptionRow) {
                         service::CacheOutcome::kHit),
               reference)
         << "service stream, cache hit";
+  }
+}
+
+TEST(EntryPointParityTest, BlobUnderOtherCsOptionsIsRefused) {
+  // Star 0-{1, 1} over the single edge 0-1: one homomorphism (both leaves
+  // on data vertex 1), no embedding. An injective blob's CS certifies the
+  // query negative, which is wrong for a homomorphism search.
+  const Graph query = Graph::FromEdges({0, 1, 1}, {{0, 1}, {0, 2}});
+  const Graph data = Graph::FromEdges({0, 1}, {{0, 1}});
+  MatchOptions homomorphism;
+  homomorphism.injective = false;
+  ASSERT_EQ(DafMatch(query, data, homomorphism).embeddings, 1u);
+
+  MatchOptions injective;
+  PrepareOutcome built = PrepareQuery(query, data, injective);
+  ASSERT_TRUE(built.ok);
+  ASSERT_NE(built.prepared, nullptr);
+  EXPECT_EQ(built.prepared->cs_fingerprint, CsFingerprint(injective));
+  EXPECT_TRUE(DafMatchPrepared(*built.prepared, data, injective)
+                  .cs_certified_negative);
+
+  MatchOptions fewer_passes;
+  fewer_passes.refinement_steps = 1;
+  MatchOptions no_nlf;
+  no_nlf.use_nlf_filter = false;
+  for (const MatchOptions& other : {homomorphism, fewer_passes, no_nlf}) {
+    ASSERT_NE(CsFingerprint(other), built.prepared->cs_fingerprint);
+    const MatchResult one = DafMatchPrepared(*built.prepared, data, other);
+    EXPECT_FALSE(one.ok);
+    EXPECT_FALSE(one.error.empty());
+    EXPECT_FALSE(one.cs_certified_negative);
+    EXPECT_EQ(one.embeddings, 0u);
+    const MatchResult three =
+        ParallelDafMatchPrepared(*built.prepared, data, other, 3);
+    EXPECT_FALSE(three.ok);
+    EXPECT_FALSE(three.cs_certified_negative);
+    EmbeddingCursor cursor(built.prepared, data, other);
+    EXPECT_FALSE(cursor.Next().has_value());
+    EXPECT_FALSE(cursor.Finish().ok);
+    EXPECT_FALSE(cursor.Finish().cs_certified_negative);
   }
 }
 

@@ -34,9 +34,11 @@ Graph SmallData() {
   return Graph::FromEdges({1, 2, 3, 1}, {{0, 1}, {1, 2}});
 }
 
-std::shared_ptr<persist::DurableStore> OpenStore(const std::string& dir) {
+std::shared_ptr<persist::DurableStore> OpenStore(
+    const std::string& dir, dyn::DeltaGraph::Options delta_options = {}) {
   persist::DurableStore::Options options;
   options.fsync_policy = persist::FsyncPolicy::kOff;
+  options.delta_options = delta_options;
   std::string error;
   auto store = persist::DurableStore::Open(dir, options, &error);
   EXPECT_NE(store, nullptr) << error;
@@ -227,6 +229,31 @@ TEST_F(RestartTest, ExplicitCheckpointSpeedsRecovery) {
   EXPECT_EQ(store->recovery().snapshot_version, 1u);
   EXPECT_EQ(store->recovery().wal_records_replayed, 0u);
   EXPECT_EQ(store->TakeRecoveredGraph().version(), 1u);
+}
+
+TEST_F(RestartTest, FreshServiceCompactsOnTheStoreCadence) {
+  // The store's delta_options are the one compaction setting: a fresh
+  // service (not only a recovered one) compacts on them, and every
+  // compaction rolls the WAL into a snapshot.
+  dyn::DeltaGraph::Options aggressive;
+  aggressive.compaction_ratio = 0.01;
+  aggressive.compaction_min_edges = 1;
+  ScopedTempDir dir;
+  {
+    MatchService service(SmallData(), DurableOptions(OpenStore(dir.path(),
+                                                               aggressive)));
+    ASSERT_FALSE(service.Metrics().persist_recovered);
+    EXPECT_EQ(service.Metrics().persist_snapshots_written, 1u);  // the seed
+    dyn::UpdateBatch b;
+    b.InsertEdge(1, 3);
+    ASSERT_TRUE(service.ApplyUpdates(b).ok);
+    EXPECT_EQ(service.Metrics().persist_snapshots_written, 2u);
+    service.GracefulShutdown(2000);
+  }
+  auto store = OpenStore(dir.path(), aggressive);
+  ASSERT_TRUE(store->has_state());
+  EXPECT_EQ(store->recovery().snapshot_version, 1u);
+  EXPECT_EQ(store->recovery().wal_records_replayed, 0u);
 }
 
 TEST_F(RestartTest, MemoryOnlyServiceReportsPersistDisabled) {

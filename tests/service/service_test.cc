@@ -79,7 +79,7 @@ TEST(MatchServiceTest, IntraQueryParallelismForInteractiveJobs) {
   JobHandle par_handle = service.Submit(std::move(interactive));
   EXPECT_EQ(par_handle.Wait(), JobStatus::kDone);
   EXPECT_EQ(par_handle.Result().embeddings, expected.embeddings);
-  EXPECT_EQ(par_handle.Profile().threads, 4u);
+  EXPECT_EQ(par_handle.Result().threads_used, 4u);
 
   // Normal priority stays on the single-threaded engine.
   QueryJob batch;
@@ -88,7 +88,7 @@ TEST(MatchServiceTest, IntraQueryParallelismForInteractiveJobs) {
   JobHandle seq_handle = service.Submit(std::move(batch));
   EXPECT_EQ(seq_handle.Wait(), JobStatus::kDone);
   EXPECT_EQ(seq_handle.Result().embeddings, expected.embeddings);
-  EXPECT_EQ(seq_handle.Profile().threads, 1u);
+  EXPECT_EQ(seq_handle.Result().threads_used, 1u);
 
   service.Drain();  // Wait() returns before the metrics bookkeeping lands
   auto metrics = service.Metrics();
