@@ -34,6 +34,7 @@ DeltaGraph::DeltaGraph(Graph base, Options options, uint64_t initial_version,
   version_ = initial_version;
   snapshot_ = base_;
   snapshot_version_ = initial_version;
+  dirty_.assign(n, 0);
 }
 
 Label DeltaGraph::BaseDenseLabel(Label l) const {
@@ -365,8 +366,13 @@ ApplyResult DeltaGraph::Install(const NormalizedBatch& net,
     alive_[v] = 0;
     labels_[v] = kTombstoneLabel;
   }
+  // Rows the next Materialize rebuilds; every other row is copied from the
+  // last snapshot.
+  dirty_.resize(labels_.size(), 1);  // new vertices
+  for (const EdgeUpdate& e : net.removes) dirty_[e.u] = dirty_[e.v] = 1;
+  for (const EdgeUpdate& e : net.inserts) dirty_[e.u] = dirty_[e.v] = 1;
+  for (VertexId v : net.removed_vertices) dirty_[v] = 1;
   ++version_;
-  snapshot_.reset();  // invalidate the Materialize cache
 
   ApplyResult result;
   result.ok = true;
@@ -445,22 +451,42 @@ std::vector<std::pair<Edge, Label>> DeltaGraph::CurrentEdges() const {
 }
 
 std::shared_ptr<const Graph> DeltaGraph::Materialize() const {
-  if (snapshot_ != nullptr && snapshot_version_ == version_) {
-    return snapshot_;
-  }
-  std::vector<Label> labels = labels_;  // original space; tombstones keep
-                                        // kTombstoneLabel and stay isolated
-  auto labeled = CurrentEdges();
-  std::vector<Edge> edges;
-  std::vector<Label> edge_labels;
-  edges.reserve(labeled.size());
-  edge_labels.reserve(labeled.size());
-  for (const auto& [e, l] : labeled) {
-    edges.push_back(e);
-    edge_labels.push_back(l);
-  }
-  snapshot_ = std::make_shared<const Graph>(
-      Graph::FromLabeledEdges(std::move(labels), edges, edge_labels));
+  if (snapshot_version_ == version_) return snapshot_;
+  // A dirty row is the base row minus its removed edges, merged with the
+  // overlay additions, both in (original label, id) order: surviving base
+  // neighbors keep their labels (only tombstones relabel, and they have
+  // no edges), so the base row is already in that order.
+  std::vector<std::pair<VertexId, Label>> added;  // reused across rows
+  auto key = [this](VertexId w) { return std::make_pair(labels_[w], w); };
+  auto write_row = [&](VertexId v, VertexId* neighbors, Label* edge_labels) {
+    const Overlay* ov = OverlayFor(v);
+    added.clear();
+    if (ov != nullptr) added.assign(ov->added.begin(), ov->added.end());
+    std::sort(added.begin(), added.end(), [&](const auto& a, const auto& b) {
+      return key(a.first) < key(b.first);
+    });
+    auto next = added.begin();
+    auto emit = [&](VertexId w, Label l) {
+      *neighbors++ = w;
+      *edge_labels++ = l;
+    };
+    if (InBase(v)) {
+      auto base_neighbors = base_->Neighbors(v);
+      auto base_labels = base_->NeighborEdgeLabels(v);
+      for (size_t i = 0; i < base_neighbors.size(); ++i) {
+        const VertexId w = base_neighbors[i];
+        if (ov != nullptr && ov->removed.count(EdgeKey(v, w))) continue;
+        for (; next != added.end() && key(next->first) < key(w); ++next) {
+          emit(next->first, next->second);
+        }
+        emit(w, base_labels[i]);
+      }
+    }
+    for (; next != added.end(); ++next) emit(next->first, next->second);
+  };
+  snapshot_ = std::make_shared<const Graph>(Graph::FromPatchedRows(
+      *snapshot_, labels_, degree_, dirty_, write_row));
+  dirty_.assign(dirty_.size(), 0);
   snapshot_version_ = version_;
   return snapshot_;
 }

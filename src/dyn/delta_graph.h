@@ -18,8 +18,9 @@ namespace daf::dyn {
 /// *base* snapshot plus a per-vertex adjacency overlay holding the edges
 /// inserted and removed since the last compaction. Batches apply atomically
 /// (all-or-nothing) and advance a monotonically increasing version id; when
-/// the overlay grows past a configurable fraction of the base, the graph is
-/// compacted back into a fresh CSR (ids preserved) and the overlay cleared.
+/// the overlay grows past a configurable fraction of the base, the current
+/// snapshot (see Materialize) becomes the new base (ids preserved) and the
+/// overlay is cleared.
 ///
 /// Identity and labels:
 ///   * Vertex ids are stable for the lifetime of a DeltaGraph — compaction
@@ -33,9 +34,12 @@ namespace daf::dyn {
 ///   * Edge labels are verbatim (never remapped), as in Graph.
 ///
 /// Concurrency: ApplyBatch/Compact are writer operations and must be
-/// externally serialized (MatchService holds one update mutex); all read
-/// accessors are safe against concurrent *reads* only. Snapshots returned
-/// by Materialize are immutable and may be shared freely across threads.
+/// externally serialized (MatchService holds one update mutex); the other
+/// read accessors are safe against concurrent *reads* only. Materialize is
+/// const but writes its snapshot cache, so callers must serialize it with
+/// each other and with writers (MatchService calls it under its graph
+/// mutex). Snapshots it returns are immutable and may be shared freely
+/// across threads.
 class DeltaGraph {
  public:
   /// Label given to removed vertices; queries never carry it.
@@ -106,9 +110,10 @@ class DeltaGraph {
   ApplyResult ApplyNormalized(const NormalizedBatch& net,
                               const std::vector<Label>& new_vertex_labels);
 
-  /// Rebuilds the base CSR from the current state and clears the overlay.
-  /// Ids are preserved; tombstones stay as isolated kTombstoneLabel
-  /// vertices. Invalidates nothing — reads before/after agree.
+  /// Makes the current snapshot (Materialize) the base and clears the
+  /// overlay. Ids are preserved; tombstones stay as isolated
+  /// kTombstoneLabel vertices. Invalidates nothing — reads before/after
+  /// agree.
   void Compact();
 
   // --- Read interface (original label space).
@@ -168,13 +173,15 @@ class DeltaGraph {
 
   /// An immutable CSR snapshot of the current state (ids preserved,
   /// tombstones as isolated kTombstoneLabel vertices). Cached: repeated
-  /// calls at the same version return the same instance, and ApplyBatch
-  /// invalidates the cache, so a static workload pays for at most one
-  /// materialization per version actually queried.
+  /// calls at the same version return the same instance, so a static
+  /// workload pays for at most one materialization per version actually
+  /// queried. A new version is patched from the last snapshot
+  /// (Graph::FromPatchedRows): rows of vertices no batch touched since
+  /// then are copied in bulk, and only touched rows are rebuilt from the
+  /// base and the overlay.
   std::shared_ptr<const Graph> Materialize() const;
 
-  /// Current edge list with labels ((u, v) with u < v), for tests and
-  /// compaction.
+  /// Current edge list with labels ((u, v) with u < v), for tests.
   std::vector<std::pair<Edge, Label>> CurrentEdges() const;
 
  private:
@@ -227,8 +234,11 @@ class DeltaGraph {
   uint64_t added_count_ = 0;    // overlay insertions
   uint64_t removed_count_ = 0;  // overlay removals of base edges
   uint64_t version_ = 0;
-  mutable std::shared_ptr<const Graph> snapshot_;  // cache for Materialize
+  // Materialize's cache: the last snapshot (never null; base_ at first),
+  // its version, and the vertices whose rows changed since it was built.
+  mutable std::shared_ptr<const Graph> snapshot_;
   mutable uint64_t snapshot_version_ = 0;
+  mutable std::vector<uint8_t> dirty_;
 };
 
 }  // namespace daf::dyn

@@ -125,12 +125,12 @@ std::vector<uint64_t> Encode(const Graph& g, const Coloring& colors) {
 
 struct SearchState {
   const Graph& g;
-  uint64_t leaves = 0;
   uint64_t max_leaves;
+  uint64_t leaves = 0;
   bool aborted = false;
   bool have_best = false;
-  std::vector<uint64_t> best_key;
-  Coloring best_colors;
+  std::vector<uint64_t> best_key = {};
+  Coloring best_colors = {};
 };
 
 // Individualization-refinement: `colors` is already refined. At a leaf the
@@ -215,7 +215,7 @@ CanonicalQuery CanonicalizeQuery(const Graph& g, uint64_t max_leaves) {
   }
   Refine(g, &colors);
 
-  SearchState state{g, 0, max_leaves};
+  SearchState state{g, max_leaves};
   Search(&state, colors);
 
   if (state.aborted || !state.have_best) {

@@ -111,6 +111,19 @@ Graph Graph::FromLabeledEdges(std::vector<Label> labels,
 
 void Graph::BuildDerivedIndexes() {
   const uint32_t n = NumVertices();
+  BuildVertexIndexes();
+  // Neighbor-label runs, sized exactly: count each vertex's label changes,
+  // then fill the (label, end offset) pairs.
+  run_offsets_.assign(n + 1, 0);
+  for (uint32_t v = 0; v < n; ++v) {
+    run_offsets_[v + 1] = run_offsets_[v] + CountRuns(v);
+  }
+  label_runs_.resize(run_offsets_[n]);
+  for (uint32_t v = 0; v < n; ++v) FillRuns(v);
+}
+
+void Graph::BuildVertexIndexes() {
+  const uint32_t n = NumVertices();
   const uint32_t num_labels = static_cast<uint32_t>(original_labels_.size());
 
   nontrivial_edge_labels_ = false;
@@ -144,31 +157,131 @@ void Graph::BuildDerivedIndexes() {
       vertices_by_label_[cursor[labels_[v]]++] = v;
     }
   }
+}
 
-  // Neighbor-label runs, sized exactly: count each vertex's label changes,
-  // then fill the (label, end offset) pairs.
-  run_offsets_.assign(n + 1, 0);
-  for (uint32_t v = 0; v < n; ++v) {
-    uint64_t runs = 0;
-    Label prev = 0;
-    for (VertexId w : Neighbors(v)) {
-      if (runs == 0 || labels_[w] != prev) {
-        ++runs;
-        prev = labels_[w];
+uint64_t Graph::CountRuns(VertexId v) const {
+  uint64_t runs = 0;
+  Label prev = 0;
+  for (VertexId w : Neighbors(v)) {
+    if (runs == 0 || labels_[w] != prev) {
+      ++runs;
+      prev = labels_[w];
+    }
+  }
+  return runs;
+}
+
+void Graph::FillRuns(VertexId v) {
+  LabelRun* run = label_runs_.data() + run_offsets_[v];
+  std::span<const VertexId> neighbors = Neighbors(v);
+  for (uint32_t i = 0; i < neighbors.size(); ++i) {
+    const Label l = labels_[neighbors[i]];
+    if (i > 0 && l != run->label) ++run;
+    *run = {l, i + 1};
+  }
+}
+
+Graph Graph::FromPatchedRows(const Graph& prev,
+                             std::span<const Label> labels,
+                             std::span<const uint32_t> degrees,
+                             std::span<const uint8_t> dirty,
+                             const RowWriter& write_row) {
+  Graph g;
+  const uint32_t n = static_cast<uint32_t>(labels.size());
+  const uint32_t prev_n = prev.NumVertices();
+  assert(n >= prev_n && degrees.size() == n && dirty.size() == n);
+  auto clean = [&](VertexId v) { return v < prev_n && dirty[v] == 0; };
+  auto unchanged = [&](VertexId v) {
+    return v < prev_n && labels[v] == prev.original_label(prev.labels_[v]);
+  };
+
+  // Dense labels: the old label set minus the labels no vertex keeps, plus
+  // the labels of vertices that are new or changed label (tombstones).
+  std::vector<uint32_t> kept(prev.NumLabels(), 0);
+  std::vector<Label>& all = g.original_labels_;
+  for (VertexId v = 0; v < n; ++v) {
+    if (unchanged(v)) {
+      ++kept[prev.labels_[v]];
+    } else {
+      all.push_back(labels[v]);
+    }
+  }
+  for (Label l = 0; l < prev.NumLabels(); ++l) {
+    if (kept[l] > 0) all.push_back(prev.original_labels_[l]);
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  auto dense = [&all](Label original) {
+    return static_cast<Label>(
+        std::lower_bound(all.begin(), all.end(), original) - all.begin());
+  };
+  std::vector<Label> remap(prev.NumLabels(), static_cast<Label>(-1));
+  for (Label l = 0; l < prev.NumLabels(); ++l) {
+    if (kept[l] > 0) remap[l] = dense(prev.original_labels_[l]);
+  }
+  g.labels_.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    g.labels_[v] = unchanged(v) ? remap[prev.labels_[v]] : dense(labels[v]);
+  }
+
+  // Visits each maximal range [begin, end) of clean vertices and each
+  // dirty vertex, in id order.
+  auto sweep = [&](auto&& copy_clean, auto&& build_dirty) {
+    for (VertexId v = 0; v < n;) {
+      if (!clean(v)) {
+        build_dirty(v++);
+        continue;
       }
+      VertexId end = v + 1;
+      while (end < n && clean(end)) ++end;
+      copy_clean(v, end);
+      v = end;
     }
-    run_offsets_[v + 1] = run_offsets_[v] + runs;
+  };
+
+  g.offsets_.assign(n + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    assert(!clean(v) || degrees[v] == prev.degree(v));
+    g.offsets_[v + 1] = g.offsets_[v] + degrees[v];
   }
-  label_runs_.resize(run_offsets_[n]);
-  for (uint32_t v = 0; v < n; ++v) {
-    LabelRun* run = label_runs_.data() + run_offsets_[v];
-    std::span<const VertexId> neighbors = Neighbors(v);
-    for (uint32_t i = 0; i < neighbors.size(); ++i) {
-      const Label l = labels_[neighbors[i]];
-      if (i > 0 && l != run->label) ++run;
-      *run = {l, i + 1};
-    }
+  g.adjacency_.resize(g.offsets_[n]);
+  g.edge_labels_.resize(g.offsets_[n]);
+  sweep(
+      [&](VertexId begin, VertexId end) {
+        const uint64_t from = prev.offsets_[begin];
+        const uint64_t to = prev.offsets_[end];
+        std::copy(prev.adjacency_.begin() + from, prev.adjacency_.begin() + to,
+                  g.adjacency_.begin() + g.offsets_[begin]);
+        std::copy(prev.edge_labels_.begin() + from,
+                  prev.edge_labels_.begin() + to,
+                  g.edge_labels_.begin() + g.offsets_[begin]);
+      },
+      [&](VertexId v) {
+        write_row(v, g.adjacency_.data() + g.offsets_[v],
+                  g.edge_labels_.data() + g.offsets_[v]);
+      });
+
+  g.BuildVertexIndexes();
+  g.run_offsets_.assign(n + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    g.run_offsets_[v + 1] =
+        g.run_offsets_[v] +
+        (clean(v) ? prev.run_offsets_[v + 1] - prev.run_offsets_[v]
+                  : g.CountRuns(v));
   }
+  g.label_runs_.resize(g.run_offsets_[n]);
+  sweep(
+      [&](VertexId begin, VertexId end) {
+        auto first = prev.label_runs_.begin() + prev.run_offsets_[begin];
+        auto last = prev.label_runs_.begin() + prev.run_offsets_[end];
+        std::transform(first, last,
+                       g.label_runs_.begin() + g.run_offsets_[begin],
+                       [&remap](LabelRun run) {
+                         return LabelRun{remap[run.label], run.end};
+                       });
+      },
+      [&](VertexId v) { g.FillRuns(v); });
+  return g;
 }
 
 Graph::CsrParts Graph::ToCsrParts() const {

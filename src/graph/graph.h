@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -98,6 +99,30 @@ class Graph {
   /// reason binary cold-start beats text loading.
   static std::optional<Graph> FromCsrParts(CsrParts parts,
                                            std::string* error);
+
+  /// Fills the row of a dirty vertex for FromPatchedRows: `v`'s new
+  /// neighbors and their edge labels, degrees[v] entries each, sorted by
+  /// (original neighbor label, id).
+  using RowWriter =
+      std::function<void(VertexId v, VertexId* neighbors, Label* edge_labels)>;
+
+  /// Builds the next version of `prev` without re-sorting it. `labels` are
+  /// the new per-vertex original labels (at least prev's |V| of them) and
+  /// `degrees` the new degrees. A vertex v < prev.NumVertices() with
+  /// `dirty[v] == 0` is clean: its row, edge labels and neighbor-label
+  /// runs are copied from `prev` in bulk, so its label and its neighbors'
+  /// labels must be unchanged. Every other vertex's row comes from
+  /// `write_row`. Dense labels are an order-preserving remap of the
+  /// original ones, so a copied row stays (label, id)-sorted when a label
+  /// appears or disappears; only its runs' label ids are remapped (the
+  /// identity when the label set is unchanged). The label index,
+  /// MaxNeighborDegree and the edge-label flag are rebuilt over the whole
+  /// graph in O(V + E).
+  static Graph FromPatchedRows(const Graph& prev,
+                               std::span<const Label> labels,
+                               std::span<const uint32_t> degrees,
+                               std::span<const uint8_t> dirty,
+                               const RowWriter& write_row);
 
   /// Number of vertices.
   uint32_t NumVertices() const {
@@ -249,6 +274,15 @@ class Graph {
   /// and the neighbor-label runs from labels_/offsets_/adjacency_/
   /// edge_labels_.
   void BuildDerivedIndexes();
+
+  /// The part of BuildDerivedIndexes that FromPatchedRows cannot copy:
+  /// nontrivial_edge_labels_, max_neighbor_degree_ and the label index.
+  void BuildVertexIndexes();
+
+  /// Number of neighbor-label runs in v's row, and writing them at
+  /// label_runs_[run_offsets_[v]].
+  uint64_t CountRuns(VertexId v) const;
+  void FillRuns(VertexId v);
 
   std::vector<Label> labels_;
   std::vector<Label> original_labels_;  // dense label -> supplied label
